@@ -2,10 +2,12 @@
 
 #include <chrono>
 #include <future>
-#include <map>
+#include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 
+#include "protocol/invariants.h"
 #include "protocol/wire_codec.h"
 
 namespace dcp::harness {
@@ -25,14 +27,23 @@ rt::SocketTransportOptions TransportOptions(const SocketClusterOptions& o) {
   return t;
 }
 
-/// Blocks on `future` for the harness's per-op budget. The promise side
-/// lives in the posted closure (shared_ptr), so a timed-out operation
-/// completing late writes into an orphaned promise, not a dead frame.
-template <typename T>
-T AwaitOr(std::future<T> future, rt::Time timeout_ms, T on_timeout) {
+/// Posts `start(node, done)` onto `node`'s runtime (protocol code must
+/// run on its node's execution context) and blocks until `done` fires or
+/// the harness's per-op budget runs out. The promise lives in the posted
+/// closure (shared_ptr), so a timed-out operation completing late writes
+/// into an orphaned promise, not a dead frame.
+template <typename R, typename Start>
+R RunOnNode(protocol::ReplicaNode* node, rt::Time timeout_ms,
+            const char* what, Start start) {
+  auto promise = std::make_shared<std::promise<R>>();
+  std::future<R> future = promise->get_future();
+  node->runtime()->Schedule(0, [node, promise, start]() mutable {
+    start(node, [promise](R r) { promise->set_value(std::move(r)); });
+  });
   const auto budget = std::chrono::duration<double, std::milli>(timeout_ms);
   if (future.wait_for(budget) != std::future_status::ready) {
-    return on_timeout;
+    return Status::TimedOut(std::string("socket ") + what +
+                            " exceeded the harness budget");
   }
   return future.get();
 }
@@ -43,47 +54,17 @@ SocketCluster::SocketCluster(SocketClusterOptions options)
     : options_(std::move(options)),
       rule_(protocol::MakeCoterieRule(options_.coterie)),
       transport_(TransportOptions(options_)) {
-  std::vector<uint8_t> value = options_.initial_value;
-  if (value.empty()) value = {0};
-  const NodeSet all = NodeSet::Universe(options_.num_nodes);
-  nodes_.reserve(options_.num_nodes);
-
-  if (options_.sharded) {
-    shard::PlacementOptions p;
-    p.num_nodes = options_.num_nodes;
-    p.num_objects = std::max<uint32_t>(options_.num_objects, 1);
-    p.replication_factor = options_.replication_factor;
-    p.seed = options_.placement_seed;
-    table_ = std::make_unique<shard::ObjectTable>(p);
-    std::map<storage::ObjectId, NodeSet> directory;
-    for (storage::ObjectId o = 0; o < p.num_objects; ++o) {
-      directory[o] = table_->placement(o).replicas;
-    }
-    for (uint32_t i = 0; i < options_.num_nodes; ++i) {
-      std::vector<protocol::HostedObjectSpec> catalog;
-      for (storage::ObjectId o = 0; o < p.num_objects; ++o) {
-        if (!table_->placement(o).replicas.Contains(i)) continue;
-        protocol::HostedObjectSpec spec;
-        spec.id = o;
-        spec.home = table_->placement(o).replicas;
-        spec.rule = rule_.get();
-        spec.initial_value = value;
-        catalog.push_back(std::move(spec));
-      }
-      nodes_.push_back(std::make_unique<protocol::ReplicaNode>(
-          &transport_, NodeId{i}, all, rule_.get(), std::move(catalog),
-          directory, options_.node_options));
-    }
-    return;
-  }
-
-  std::vector<std::vector<uint8_t>> values(
-      std::max<uint32_t>(options_.num_objects, 1), value);
-  for (uint32_t i = 0; i < options_.num_nodes; ++i) {
-    nodes_.push_back(std::make_unique<protocol::ReplicaNode>(
-        &transport_, NodeId{i}, all, rule_.get(), values,
-        options_.node_options));
-  }
+  protocol::ClusterOptions deployment;
+  deployment.num_nodes = options_.num_nodes;
+  deployment.num_objects = options_.num_objects;
+  deployment.replication_factor = options_.replication_factor;
+  deployment.seed = options_.placement_seed;
+  deployment.initial_value = options_.initial_value;
+  if (deployment.initial_value.empty()) deployment.initial_value = {0};
+  deployment.node_options = options_.node_options;
+  table_ = protocol::MakeObjectTable(deployment);
+  nodes_ = protocol::BuildNodes(&transport_, deployment, rule_.get(),
+                                table_.get());
 }
 
 SocketCluster::~SocketCluster() {
@@ -100,69 +81,52 @@ void SocketCluster::SetNodeUp(NodeId id, bool up) {
   transport_.SetNodeUp(id, up);
 }
 
+Status SocketCluster::CheckEpochInvariants() const {
+  return protocol::CheckEpochInvariants(nodes_);
+}
+
+Status SocketCluster::CheckReplicaConsistency() const {
+  return protocol::CheckReplicaConsistency(nodes_);
+}
+
 Result<WriteOutcome> SocketCluster::WriteSync(NodeId coordinator,
                                               storage::ObjectId object,
                                               storage::Update update) {
-  auto promise = std::make_shared<std::promise<Result<WriteOutcome>>>();
-  auto future = promise->get_future();
-  protocol::ReplicaNode* node = nodes_[coordinator].get();
-  protocol::WriteOptions write_options = options_.write_options;
-  transport_.runtime(coordinator)
-      ->Schedule(0, [node, object, update = std::move(update), write_options,
-                     promise]() mutable {
+  return RunOnNode<Result<WriteOutcome>>(
+      nodes_[coordinator].get(), options_.op_timeout_ms, "write",
+      [object, update = std::move(update),
+       write_options = options_.write_options](
+          protocol::ReplicaNode* node, protocol::WriteDone done) mutable {
         protocol::StartWrite(node, object, std::move(update), write_options,
-                             /*history=*/nullptr,
-                             [promise](Result<WriteOutcome> r) {
-                               promise->set_value(std::move(r));
-                             });
+                             /*history=*/nullptr, std::move(done));
       });
-  return AwaitOr<Result<WriteOutcome>>(
-      std::move(future), options_.op_timeout_ms,
-      Status::TimedOut("socket write exceeded the harness budget"));
 }
 
 Result<ReadOutcome> SocketCluster::ReadSync(NodeId coordinator,
                                             storage::ObjectId object) {
-  auto promise = std::make_shared<std::promise<Result<ReadOutcome>>>();
-  auto future = promise->get_future();
-  protocol::ReplicaNode* node = nodes_[coordinator].get();
-  transport_.runtime(coordinator)->Schedule(0, [node, object, promise] {
-    protocol::StartRead(node, object, /*history=*/nullptr,
-                        [promise](Result<ReadOutcome> r) {
-                          promise->set_value(std::move(r));
-                        });
-  });
-  return AwaitOr<Result<ReadOutcome>>(
-      std::move(future), options_.op_timeout_ms,
-      Status::TimedOut("socket read exceeded the harness budget"));
+  return RunOnNode<Result<ReadOutcome>>(
+      nodes_[coordinator].get(), options_.op_timeout_ms, "read",
+      [object](protocol::ReplicaNode* node, protocol::ReadDone done) {
+        protocol::StartRead(node, object, /*history=*/nullptr,
+                            std::move(done));
+      });
 }
 
 Status SocketCluster::CheckEpochSync(NodeId initiator) {
-  auto promise = std::make_shared<std::promise<Status>>();
-  auto future = promise->get_future();
-  protocol::ReplicaNode* node = nodes_[initiator].get();
-  transport_.runtime(initiator)->Schedule(0, [node, promise] {
-    protocol::StartEpochCheck(
-        node, [promise](Status s) { promise->set_value(std::move(s)); });
-  });
-  return AwaitOr<Status>(
-      std::move(future), options_.op_timeout_ms,
-      Status::TimedOut("socket epoch check exceeded the harness budget"));
+  return RunOnNode<Status>(
+      nodes_[initiator].get(), options_.op_timeout_ms, "epoch check",
+      [](protocol::ReplicaNode* node, protocol::EpochCheckDone done) {
+        protocol::StartEpochCheck(node, std::move(done));
+      });
 }
 
 Status SocketCluster::CheckObjectEpochSync(NodeId initiator,
                                            storage::ObjectId object) {
-  auto promise = std::make_shared<std::promise<Status>>();
-  auto future = promise->get_future();
-  protocol::ReplicaNode* node = nodes_[initiator].get();
-  transport_.runtime(initiator)->Schedule(0, [node, object, promise] {
-    protocol::StartObjectEpochCheck(
-        node, object,
-        [promise](Status s) { promise->set_value(std::move(s)); });
-  });
-  return AwaitOr<Status>(
-      std::move(future), options_.op_timeout_ms,
-      Status::TimedOut("socket epoch check exceeded the harness budget"));
+  return RunOnNode<Status>(
+      nodes_[initiator].get(), options_.op_timeout_ms, "epoch check",
+      [object](protocol::ReplicaNode* node, protocol::EpochCheckDone done) {
+        protocol::StartObjectEpochCheck(node, object, std::move(done));
+      });
 }
 
 Result<WriteOutcome> SocketCluster::WriteSyncRetry(NodeId coordinator,

@@ -8,23 +8,21 @@
 #include "coterie/coterie.h"
 #include "protocol/cluster.h"
 #include "protocol/operations.h"
+#include "protocol/placement.h"
 #include "protocol/replica_node.h"
 #include "runtime/socket_transport.h"
-#include "shard/placement.h"
 #include "util/result.h"
 
 namespace dcp::harness {
 
 struct SocketClusterOptions {
   uint32_t num_nodes = 5;
-  /// Data items in the replica group (all share one epoch).
   uint32_t num_objects = 1;
-  /// Sharded deployment: place each object onto a `replication_factor`
-  /// subset of the pool (shard::ObjectTable, seeded by `placement_seed`)
-  /// and give it its own epoch lineage. Write/Read route the same; epoch
-  /// checks must be per-object (CheckObjectEpochSync).
-  bool sharded = false;
-  uint32_t replication_factor = 3;
+  /// Placement, as protocol::ClusterOptions::replication_factor: 0 = one
+  /// epoch-sharing group; above 0 = each object homed on that many nodes
+  /// (an ObjectTable seeded by `placement_seed`) with its own epoch
+  /// lineage, so epoch checks must be per-object (CheckObjectEpochSync).
+  uint32_t replication_factor = 0;
   uint64_t placement_seed = 7;
   protocol::CoterieKind coterie = protocol::CoterieKind::kMajority;
   std::vector<uint8_t> initial_value;  ///< Shared by all objects.
@@ -104,9 +102,13 @@ class SocketCluster {
                                             storage::ObjectId object);
 
   /// The placement table of a sharded deployment; null in group mode.
-  [[nodiscard]] const shard::ObjectTable* table() const {
+  [[nodiscard]] const protocol::ObjectTable* table() const {
     return table_.get();
   }
+
+  // --- invariant checking (protocol/invariants.h), valid after Stop() ---
+  [[nodiscard]] Status CheckEpochInvariants() const;
+  [[nodiscard]] Status CheckReplicaConsistency() const;
 
   /// WriteSync with bounded retries on lock conflicts (linear real-time
   /// backoff) — the socket-side analogue of Cluster::WriteSyncRetry.
@@ -117,7 +119,7 @@ class SocketCluster {
  private:
   SocketClusterOptions options_;
   std::unique_ptr<coterie::CoterieRule> rule_;
-  std::unique_ptr<shard::ObjectTable> table_;  ///< Sharded mode only.
+  std::unique_ptr<protocol::ObjectTable> table_;  ///< Sharded mode only.
   rt::SocketTransport transport_;
   std::vector<std::unique_ptr<protocol::ReplicaNode>> nodes_;
 };

@@ -1,12 +1,12 @@
 #include "protocol/cluster.h"
 
-#include <cassert>
 #include <string>
 #include <utility>
 
 #include "coterie/hierarchical.h"
 #include "coterie/majority.h"
 #include "coterie/tree.h"
+#include "protocol/invariants.h"
 
 namespace dcp::protocol {
 
@@ -34,10 +34,62 @@ std::unique_ptr<coterie::CoterieRule> MakeCoterieRule(CoterieKind kind) {
   return nullptr;
 }
 
+std::unique_ptr<ObjectTable> MakeObjectTable(const ClusterOptions& options) {
+  if (options.replication_factor == 0) return nullptr;
+  PlacementOptions p;
+  p.num_nodes = options.num_nodes;
+  p.num_objects = std::max(1u, options.num_objects);
+  p.replication_factor = options.replication_factor;
+  p.seed = options.seed;
+  return std::make_unique<ObjectTable>(p);
+}
+
+std::vector<std::unique_ptr<ReplicaNode>> BuildNodes(
+    rt::Transport* transport, const ClusterOptions& options,
+    const coterie::CoterieRule* rule, const ObjectTable* table) {
+  const NodeSet all = NodeSet::Universe(options.num_nodes);
+  const uint32_t objects = std::max(1u, options.num_objects);
+  // Directory: every object's home set, shipped to every sharded node so
+  // any node can coordinate cross-object transactions.
+  std::map<storage::ObjectId, NodeSet> directory;
+  if (table != nullptr) {
+    for (storage::ObjectId o = 0; o < objects; ++o) {
+      directory[o] = table->placement(o).replicas;
+    }
+  }
+  std::vector<std::unique_ptr<ReplicaNode>> nodes;
+  nodes.reserve(options.num_nodes);
+  for (uint32_t i = 0; i < options.num_nodes; ++i) {
+    ReplicaNodeOptions node_options = options.node_options;
+    if (options.durability.enabled) {
+      node_options.durability = options.durability;
+      // Independent per-node crash RNG: tears on node i never consume
+      // draws another node (or the network) would have seen.
+      node_options.durability.crash.seed =
+          options.seed ^ (0x9E3779B97F4A7C15ull * (i + 1));
+    }
+    if (table == nullptr) {
+      nodes.push_back(std::make_unique<ReplicaNode>(
+          transport, i, all, rule,
+          std::vector<std::vector<uint8_t>>(objects, options.initial_value),
+          node_options));
+      continue;
+    }
+    std::vector<HostedObjectSpec> catalog;
+    for (const auto& [o, home] : directory) {
+      if (home.Contains(i)) catalog.push_back({o, home, options.initial_value});
+    }
+    nodes.push_back(std::make_unique<ReplicaNode>(
+        transport, i, all, rule, std::move(catalog), directory, node_options));
+  }
+  return nodes;
+}
+
 Cluster::Cluster(ClusterOptions options)
     // Stream root: THE root — every other stream in a simulation forks
     // (directly or lazily) from this seed.  // dcp-lint: allow(raw-rng)
-    : options_(std::move(options)), rng_(options_.seed) {
+    : options_(std::move(options)), rng_(options_.seed),
+      table_(MakeObjectTable(options_)) {
   if (options_.enable_tracing) sim_.tracer().set_enabled(true);
   rule_ = MakeCoterieRule(options_.coterie);
   network_ = std::make_unique<net::Network>(&sim_, rng_.Fork(),
@@ -45,33 +97,41 @@ Cluster::Cluster(ClusterOptions options)
   if (!options_.fault_model.trivial()) {
     network_->set_fault_model(options_.fault_model);
   }
-  NodeSet all = NodeSet::Universe(options_.num_nodes);
-  uint32_t objects = std::max(1u, options_.num_objects);
-  std::vector<std::vector<uint8_t>> initial_values(objects,
-                                                   options_.initial_value);
-  nodes_.reserve(options_.num_nodes);
-  for (uint32_t i = 0; i < options_.num_nodes; ++i) {
-    ReplicaNodeOptions node_options = options_.node_options;
-    if (options_.durability.enabled) {
-      node_options.durability = options_.durability;
-      // Independent per-node crash RNG: tears on node i never consume
-      // draws another node (or the network) would have seen.
-      node_options.durability.crash.seed =
-          options_.seed ^ (0x9E3779B97F4A7C15ull * (i + 1));
+  nodes_ = BuildNodes(network_.get(), options_, rule_.get(), table_.get());
+  if (!options_.start_epoch_daemons) return;
+  for (const auto& node : nodes_) {
+    if (table_ == nullptr) {
+      daemons_.push_back(
+          std::make_unique<EpochDaemon>(node.get(), options_.daemon_options));
+      continue;
     }
-    nodes_.push_back(std::make_unique<ReplicaNode>(
-        network_.get(), i, all, rule_.get(), initial_values, node_options));
-  }
-  if (options_.start_epoch_daemons) {
-    daemons_.reserve(options_.num_nodes);
-    for (uint32_t i = 0; i < options_.num_nodes; ++i) {
-      daemons_.push_back(std::make_unique<EpochDaemon>(
-          nodes_[i].get(), options_.daemon_options));
+    std::vector<std::pair<storage::ObjectId, std::vector<NodeId>>> ranked;
+    for (storage::ObjectId o : node->HostedObjects()) {
+      ranked.push_back({o, table_->placement(o).ranking});
     }
+    muxes_.push_back(std::make_unique<EpochMux>(
+        node.get(), std::move(ranked), options_.daemon_options.check_interval));
   }
 }
 
 Cluster::~Cluster() = default;
+
+NodeId Cluster::RouteCoordinator(storage::ObjectId object) {
+  const NodeSet& home = HomeNodes(object);
+  NodeSet live_home;
+  for (NodeId n : home) {
+    if (network_->IsUp(n)) live_home.Insert(n);
+  }
+  if (!live_home.Empty()) {
+    return live_home.NthMember(
+        static_cast<uint32_t>(rng_.Uniform(live_home.Size())));
+  }
+  NodeSet live = UpNodes();
+  if (!live.Empty()) {
+    return live.NthMember(static_cast<uint32_t>(rng_.Uniform(live.Size())));
+  }
+  return home.NthMember(0);
+}
 
 void Cluster::Write(NodeId coordinator, storage::ObjectId object,
                     Update update, WriteDone done) {
@@ -88,71 +148,41 @@ void Cluster::CheckEpoch(NodeId initiator, EpochCheckDone done) {
   StartEpochCheck(&node(initiator), std::move(done));
 }
 
-namespace {
-
-/// Steps the simulator until `*flag` becomes true. Returns false if the
-/// event queue drained first (the operation lost its continuation — a
-/// bug or a crashed coordinator).
-bool RunUntilFlag(sim::Simulator* sim, const bool* flag) {
-  while (!*flag) {
-    if (!sim->Step()) return false;
-  }
-  return true;
+void Cluster::TxnWrite(NodeId coordinator, std::vector<TxnWriteSpec> specs,
+                       TxnWriteDone done) {
+  StartTxnWrite(
+      &node(coordinator), std::move(specs),
+      [this](storage::ObjectId o) { return &histories_[o]; }, std::move(done));
 }
 
-}  // namespace
+void Cluster::CheckObjectEpoch(NodeId initiator, storage::ObjectId object,
+                               EpochCheckDone done) {
+  StartObjectEpochCheck(&node(initiator), object, std::move(done));
+}
 
-Result<WriteOutcome> Cluster::WriteSync(NodeId coordinator,
-                                        storage::ObjectId object,
-                                        Update update) {
+template <typename R, typename Start>
+R Cluster::RunSync(const char* what, Start start) {
   bool fired = false;
-  Result<WriteOutcome> result = Status::Internal("unset");
-  Write(coordinator, object, std::move(update), [&](Result<WriteOutcome> r) {
+  R result = Status::Internal("unset");
+  start([&](R r) {
     fired = true;
     result = std::move(r);
   });
-  if (!RunUntilFlag(&sim_, &fired)) {
-    return Status::Internal("simulation drained before write completed "
-                            "(coordinator crashed?)");
+  while (!fired) {
+    if (!sim_.Step()) {
+      return Status::Internal(std::string("simulation drained before ") +
+                              what + " completed");
+    }
   }
   return result;
 }
 
-Result<ReadOutcome> Cluster::ReadSync(NodeId coordinator,
-                                      storage::ObjectId object) {
-  bool fired = false;
-  Result<ReadOutcome> result = Status::Internal("unset");
-  Read(coordinator, object, [&](Result<ReadOutcome> r) {
-    fired = true;
-    result = std::move(r);
-  });
-  if (!RunUntilFlag(&sim_, &fired)) {
-    return Status::Internal("simulation drained before read completed");
-  }
-  return result;
-}
-
-Status Cluster::CheckEpochSync(NodeId initiator) {
-  bool fired = false;
-  Status result;
-  CheckEpoch(initiator, [&](Status s) {
-    fired = true;
-    result = std::move(s);
-  });
-  if (!RunUntilFlag(&sim_, &fired)) {
-    return Status::Internal("simulation drained before epoch check completed");
-  }
-  return result;
-}
-
-Result<WriteOutcome> Cluster::WriteSyncRetry(NodeId coordinator,
-                                             storage::ObjectId object,
-                                             Update update,
-                                             int max_attempts) {
+template <typename R, typename Attempt>
+R Cluster::RetrySync(int max_attempts, Attempt attempt) {
   const RetryPolicy& policy = options_.retry_policy;
-  Result<WriteOutcome> last = Status::Internal("no attempts made");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    last = WriteSync(coordinator, object, update);
+  R last = Status::Internal("no attempts made");
+  for (int i = 0; i < max_attempts; ++i) {
+    last = attempt();
     if (last.ok() || !policy.ShouldRetry(last.status())) return last;
     // Randomized backoff breaks symmetric lock contention and rides out
     // transient unavailability (when the policy opts in).
@@ -161,31 +191,71 @@ Result<WriteOutcome> Cluster::WriteSyncRetry(NodeId coordinator,
   return last;
 }
 
+Result<WriteOutcome> Cluster::WriteSync(NodeId coordinator,
+                                        storage::ObjectId object,
+                                        Update update) {
+  return RunSync<Result<WriteOutcome>>("write", [&](WriteDone done) {
+    Write(coordinator, object, std::move(update), std::move(done));
+  });
+}
+
+Result<ReadOutcome> Cluster::ReadSync(NodeId coordinator,
+                                      storage::ObjectId object) {
+  return RunSync<Result<ReadOutcome>>("read", [&](ReadDone done) {
+    Read(coordinator, object, std::move(done));
+  });
+}
+
+Status Cluster::CheckEpochSync(NodeId initiator) {
+  return RunSync<Status>("epoch check", [&](EpochCheckDone done) {
+    CheckEpoch(initiator, std::move(done));
+  });
+}
+
+Result<TxnWriteOutcome> Cluster::TxnWriteSync(
+    NodeId coordinator, std::vector<TxnWriteSpec> specs) {
+  return RunSync<Result<TxnWriteOutcome>>("txn", [&](TxnWriteDone done) {
+    TxnWrite(coordinator, std::move(specs), std::move(done));
+  });
+}
+
+Status Cluster::CheckObjectEpochSync(NodeId initiator,
+                                     storage::ObjectId object) {
+  return RunSync<Status>("epoch check", [&](EpochCheckDone done) {
+    CheckObjectEpoch(initiator, object, std::move(done));
+  });
+}
+
+Result<WriteOutcome> Cluster::WriteSyncRetry(NodeId coordinator,
+                                             storage::ObjectId object,
+                                             Update update,
+                                             int max_attempts) {
+  return RetrySync<Result<WriteOutcome>>(max_attempts, [&] {
+    return WriteSync(coordinator, object, update);
+  });
+}
+
 Result<ReadOutcome> Cluster::ReadSyncRetry(NodeId coordinator,
                                            storage::ObjectId object,
                                            int max_attempts) {
-  const RetryPolicy& policy = options_.retry_policy;
-  Result<ReadOutcome> last = Status::Internal("no attempts made");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    last = ReadSync(coordinator, object);
-    if (last.ok() || !policy.ShouldRetry(last.status())) return last;
-    RunFor(policy.backoff_base + rng_.NextDouble() * policy.backoff_jitter);
-  }
-  return last;
+  return RetrySync<Result<ReadOutcome>>(max_attempts, [&] {
+    return ReadSync(coordinator, object);
+  });
 }
 
 void Cluster::Crash(NodeId id) {
   network_->SetNodeUp(id, false);
   nodes_[id]->Crash();
   if (!daemons_.empty()) daemons_[id]->OnCrash();
+  if (!muxes_.empty()) muxes_[id]->OnCrash();
 }
 
 void Cluster::Recover(NodeId id) {
   network_->SetNodeUp(id, true);
   nodes_[id]->Recover();
   if (!daemons_.empty()) daemons_[id]->OnRecover();
+  if (!muxes_.empty()) muxes_[id]->OnRecover();
 }
-
 void Cluster::Partition(const std::vector<NodeSet>& groups) {
   network_->SetPartitions(groups);
 }
@@ -221,81 +291,14 @@ void Cluster::RunFor(sim::Time duration) {
   sim_.RunUntil(sim_.Now() + duration);
 }
 
-bool Cluster::Quiescent() const {
-  for (const auto& n : nodes_) {
-    if (n->has_staged_transaction()) return false;
-  }
-  return true;
-}
+bool Cluster::Quiescent() const { return protocol::Quiescent(nodes_); }
 
 Status Cluster::CheckEpochInvariants() const {
-  if (!Quiescent()) {
-    return Status::Aborted("cluster not quiescent; invariants undefined "
-                           "mid-transaction");
-  }
-  // Group nodes by epoch number (persistent state; crashed nodes count —
-  // they will recover with this state).
-  std::map<storage::EpochNumber, NodeSet> members;
-  std::map<storage::EpochNumber, NodeSet> lists;
-  storage::EpochNumber max_epoch = 0;
-  for (const auto& n : nodes_) {
-    storage::EpochNumber e = n->store().epoch_number();
-    max_epoch = std::max(max_epoch, e);
-    members[e].Insert(n->self());
-    auto [it, inserted] = lists.emplace(e, n->store().epoch_list());
-    if (!inserted && !(it->second == n->store().epoch_list())) {
-      return Status::Internal("nodes with epoch " + std::to_string(e) +
-                              " disagree on the epoch list");
-    }
-    if (!n->store().epoch_list().Contains(n->self())) {
-      return Status::Internal("node " + std::to_string(n->self()) +
-                              " not a member of its own epoch list");
-    }
-  }
-  // Lemma 1: only the maximum epoch may assemble a write quorum from its
-  // own members.
-  for (const auto& [e, nodes_in_e] : members) {
-    if (e == max_epoch) continue;
-    if (rule_->IsWriteQuorum(lists.at(e), nodes_in_e)) {
-      return Status::Internal(
-          "Lemma 1 violated: stale epoch " + std::to_string(e) +
-          " still holds a write quorum among " + nodes_in_e.ToString());
-    }
-  }
-  return Status::OK();
+  return protocol::CheckEpochInvariants(nodes_);
 }
 
 Status Cluster::CheckReplicaConsistency() const {
-  for (storage::ObjectId object = 0; object < nodes_[0]->num_objects();
-       ++object) {
-    storage::Version max_version = 0;
-    for (const auto& n : nodes_) {
-      if (!n->store(object).stale()) {
-        max_version = std::max(max_version, n->store(object).version());
-      }
-    }
-    const std::vector<uint8_t>* reference = nullptr;
-    for (const auto& n : nodes_) {
-      const auto& s = n->store(object);
-      if (!s.stale() && s.version() == max_version) {
-        if (reference == nullptr) {
-          reference = &s.object().data();
-        } else if (*reference != s.object().data()) {
-          return Status::Internal(
-              "two non-stale replicas of object " + std::to_string(object) +
-              " at version " + std::to_string(max_version) +
-              " hold different data");
-        }
-      }
-      if (s.stale() && s.version() >= s.desired_version()) {
-        return Status::Internal(
-            "node " + std::to_string(s.self()) + " object " +
-            std::to_string(object) +
-            " is marked stale but already reached its desired version");
-      }
-    }
-  }
-  return Status::OK();
+  return protocol::CheckReplicaConsistency(nodes_);
 }
 
 Status Cluster::CheckHistory() const {

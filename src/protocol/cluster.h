@@ -1,6 +1,7 @@
 #ifndef DCP_PROTOCOL_CLUSTER_H_
 #define DCP_PROTOCOL_CLUSTER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -10,8 +11,10 @@
 #include "coterie/grid.h"
 #include "net/network.h"
 #include "protocol/epoch_daemon.h"
+#include "protocol/epoch_mux.h"
 #include "protocol/history.h"
 #include "protocol/operations.h"
+#include "protocol/placement.h"
 #include "protocol/replica_node.h"
 #include "sim/simulator.h"
 #include "util/random.h"
@@ -54,9 +57,15 @@ struct RetryPolicy {
 
 struct ClusterOptions {
   uint32_t num_nodes = 9;
-  /// Data items in the replica group. All share one epoch; epoch checks
-  /// cover the group at once (Section 2's amortization).
+  /// Data items, ids [0, num_objects) (at least one).
   uint32_t num_objects = 1;
+  /// Placement. 0 = group mode: every node hosts every object and all
+  /// objects share one epoch, so epoch checks cover the group at once
+  /// (Section 2's amortization). Above 0 = sharded mode: a rendezvous
+  /// ObjectTable seeded by `seed` homes each object on this many nodes
+  /// (clamped to the pool), each object with its own epoch lineage.
+  uint32_t replication_factor = 0;
+  /// The coterie rule every object's quorums use.
   CoterieKind coterie = CoterieKind::kGrid;
   uint64_t seed = 1;
   net::LatencyModel latency{1.0, 0.5};
@@ -76,7 +85,9 @@ struct ClusterOptions {
   /// Governs WriteSyncRetry / ReadSyncRetry.
   RetryPolicy retry_policy;
 
-  /// Start the background epoch-check/election daemons on every node.
+  /// Start a background epoch daemon on every node: the electing
+  /// EpochDaemon in group mode, a multiplexed EpochMux (per-object
+  /// cadence `daemon_options.check_interval`) when sharded.
   bool start_epoch_daemons = false;
   EpochDaemonOptions daemon_options;
 
@@ -86,10 +97,27 @@ struct ClusterOptions {
   bool enable_tracing = false;
 };
 
-/// An in-simulator deployment of one replicated data item: N replica
-/// nodes, the network, optional epoch daemons, and a history recorder.
-/// This is the library's top-level entry point — examples, tests, and
-/// benches all drive the protocol through a Cluster.
+/// The placement table of a sharded deployment (replication_factor > 0);
+/// null in group mode.
+std::unique_ptr<ObjectTable> MakeObjectTable(const ClusterOptions& options);
+
+/// Builds the replica nodes `options` describes on `transport`, indexed by
+/// NodeId, every object under `rule`: one epoch-sharing group of
+/// `num_objects` objects when `table` is null, else each node hosting the
+/// objects `table` homes on it. With durability on, each node gets an
+/// independent crash RNG derived from `seed` and its id (durability draws
+/// never touch a cluster's main RNG stream). Both cluster facades — this
+/// file's and harness::SocketCluster — build their nodes here.
+std::vector<std::unique_ptr<ReplicaNode>> BuildNodes(
+    rt::Transport* transport, const ClusterOptions& options,
+    const coterie::CoterieRule* rule, const ObjectTable* table);
+
+/// An in-simulator deployment: N replica nodes hosting one epoch-sharing
+/// group of objects or (replication_factor > 0) a sharded set of objects
+/// with per-object epoch lineages, plus the network, optional epoch
+/// daemons, and per-object history recorders. This is the library's
+/// top-level entry point — examples, tests, and benches all drive the
+/// protocol through a Cluster.
 class Cluster {
  public:
   explicit Cluster(ClusterOptions options);
@@ -105,11 +133,25 @@ class Cluster {
   ReplicaNode& node(NodeId id) { return *nodes_[id]; }
   const ReplicaNode& node(NodeId id) const { return *nodes_[id]; }
   uint32_t num_nodes() const { return static_cast<uint32_t>(nodes_.size()); }
+  uint32_t num_objects() const { return std::max(1u, options_.num_objects); }
   NodeSet all_nodes() const { return NodeSet::Universe(num_nodes()); }
   HistoryRecorder& history(storage::ObjectId object = 0) {
     return histories_[object];
   }
   const ClusterOptions& options() const { return options_; }
+  /// The placement table; null in group mode.
+  const ObjectTable* table() const { return table_.get(); }
+  /// A sharded node's epoch mux (sharded mode with daemons started).
+  EpochMux& mux(NodeId id) { return *muxes_[id]; }
+  /// The nodes hosting `object`: its placement home set when sharded,
+  /// every node in group mode.
+  const NodeSet& HomeNodes(storage::ObjectId object) const {
+    return nodes_[0]->universe(object);
+  }
+
+  /// Picks a coordinator for `object`: a live home node (rotated by the
+  /// cluster RNG), falling back to any live node, then home member 0.
+  NodeId RouteCoordinator(storage::ObjectId object);
 
   // --- asynchronous client operations (coordinator = a replica node) ---
   void Write(NodeId coordinator, storage::ObjectId object, Update update,
@@ -122,6 +164,13 @@ class Cluster {
     Read(coordinator, 0, std::move(done));
   }
   void CheckEpoch(NodeId initiator, EpochCheckDone done);
+  /// Cross-object transaction: per-object writes under one 2PC.
+  void TxnWrite(NodeId coordinator, std::vector<TxnWriteSpec> specs,
+                TxnWriteDone done);
+  /// Epoch check scoped to one object's lineage (sharded mode; the group
+  /// CheckEpoch is rejected by sharded nodes).
+  void CheckObjectEpoch(NodeId initiator, storage::ObjectId object,
+                        EpochCheckDone done);
 
   // --- synchronous wrappers: run the simulation until the operation
   //     completes (events after completion stay queued). ---
@@ -135,6 +184,10 @@ class Cluster {
   [[nodiscard]] Result<ReadOutcome> ReadSync(NodeId coordinator,
                                storage::ObjectId object = 0);
   [[nodiscard]] Status CheckEpochSync(NodeId initiator);
+  [[nodiscard]] Result<TxnWriteOutcome> TxnWriteSync(
+      NodeId coordinator, std::vector<TxnWriteSpec> specs);
+  [[nodiscard]] Status CheckObjectEpochSync(NodeId initiator,
+                                            storage::ObjectId object);
 
   /// WriteSync with bounded retries on lock conflicts (randomized
   /// backoff); the usual way clients drive writes.
@@ -178,34 +231,42 @@ class Cluster {
   /// Advances the simulation clock by `duration`.
   void RunFor(sim::Time duration);
 
-  // --- invariant checking (test support) ---
+  // --- invariant checking (test support; see protocol/invariants.h) ---
 
-  /// Lemma-1 style epoch invariants, valid at quiescence (no prepared
-  /// transaction anywhere): nodes sharing an epoch number agree on the
-  /// epoch list and belong to it; only the highest epoch number present
-  /// can assemble a write quorum from its own members.
+  /// Lemma-1 epoch invariants per lineage, valid at quiescence.
   [[nodiscard]] Status CheckEpochInvariants() const;
-
-  /// All non-stale replicas at the maximum version hold identical data;
-  /// stale replicas are strictly behind their desired version or awaiting
-  /// ClearStale.
+  /// Per-object replica consistency over each object's home replicas.
   [[nodiscard]] Status CheckReplicaConsistency() const;
-
   /// True iff no node currently has a prepared-but-undecided 2PC action.
   bool Quiescent() const;
 
-  /// Runs the recorded history through the one-copy-serializability
-  /// checker.
+  /// Runs every object's recorded history through the
+  /// one-copy-serializability checker.
   [[nodiscard]] Status CheckHistory() const;
 
  private:
+  /// Starts an operation through `start(callback)` and steps the
+  /// simulator until the callback fires (events after it stay queued).
+  /// If the event queue drains first, the operation lost its continuation
+  /// (a bug or a crashed coordinator) and `what` names it in the error.
+  template <typename R, typename Start>
+  R RunSync(const char* what, Start start);
+
+  /// Repeats `attempt()` up to `max_attempts` times while the retry
+  /// policy calls its failure transient, with randomized backoff between
+  /// attempts.
+  template <typename R, typename Attempt>
+  R RetrySync(int max_attempts, Attempt attempt);
+
   ClusterOptions options_;
   sim::Simulator sim_;
   Rng rng_;
+  std::unique_ptr<ObjectTable> table_;  ///< Sharded mode only.
   std::unique_ptr<coterie::CoterieRule> rule_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<ReplicaNode>> nodes_;
-  std::vector<std::unique_ptr<EpochDaemon>> daemons_;
+  std::vector<std::unique_ptr<EpochDaemon>> daemons_;  ///< Group mode.
+  std::vector<std::unique_ptr<EpochMux>> muxes_;       ///< Sharded mode.
   std::map<storage::ObjectId, HistoryRecorder> histories_;
 };
 

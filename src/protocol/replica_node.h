@@ -102,13 +102,11 @@ struct ReplicaNodeStats {
 
 /// One object replica hosted by a node in a *sharded* deployment: which
 /// object, where its replicas live (the initial — epoch-0 — member list of
-/// its private epoch lineage), under which coterie rule, and its birth
-/// value. Produced by the placement layer (src/shard/placement.h).
+/// its private epoch lineage), and its birth value. Produced from the
+/// placement table (protocol/placement.h).
 struct HostedObjectSpec {
   storage::ObjectId id = 0;
   NodeSet home;
-  /// Rule governing this object's quorums; nullptr = the node's default.
-  const coterie::CoterieRule* rule = nullptr;
   std::vector<uint8_t> initial_value;
 };
 
@@ -189,8 +187,11 @@ class ReplicaNode : public net::RpcService {
   /// membership — by this set.
   const NodeSet& universe(ObjectId object) const;
 
-  /// The coterie rule governing `object` (group mode: the node default).
-  const coterie::CoterieRule& rule_for(ObjectId object) const;
+  /// The coterie rule governing `object`. Every object of a deployment
+  /// shares the node's rule; callers that reason per lineage ask here.
+  const coterie::CoterieRule& rule_for(ObjectId /*object*/) const {
+    return *rule_;
+  }
 
   /// Best local guess of `object`'s current epoch, used by coordinator
   /// operations to pick a first-round quorum. Group mode: the shared
@@ -374,11 +375,9 @@ class ReplicaNode : public net::RpcService {
   ExtensionHandler extension_handler_;
 
   /// Sharded mode only: every object's home set (the placement
-  /// directory) and, for objects whose coterie class differs from the
-  /// node default, the governing rule.
+  /// directory).
   bool sharded_ = false;
   std::map<ObjectId, NodeSet> directory_;
-  std::map<ObjectId, const coterie::CoterieRule*> object_rules_;
 
   /// Durable engine; null with durability off. `initial_values_` is the
   /// birth state Recover() rebuilds from when the disk is empty (kept

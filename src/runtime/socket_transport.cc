@@ -690,9 +690,14 @@ void SocketTransport::IoThread() {
       if (stopping_) return;
     }
 
-    // Fire due timers and find the next deadline across all nodes.
+    // Fire due timers and find the next deadline across all nodes. The
+    // upper bound goes out before the scan: a ScheduleAt landing on an
+    // already-scanned loop compares against it and wakes the poll, where
+    // the previous iteration's (usually already passed) deadline would
+    // let it sleep a full kMaxPollMs.
     const Time now = NowMs();
     Time next_deadline = now + kMaxPollMs;
+    io_deadline_.store(next_deadline, std::memory_order_release);
     for (auto& l : loops_) {
       bool fired = false;
       {

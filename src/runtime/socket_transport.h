@@ -249,8 +249,9 @@ class SocketTransport final : public Transport {
   std::vector<std::thread> workers_;
   std::atomic<bool> started_{false};
 
-  /// The deadline the I/O thread is currently sleeping toward; Schedule
-  /// only wakes it for earlier deadlines.
+  /// The deadline the I/O thread is currently sleeping toward (while it
+  /// scans the timers: an upper bound on it); Schedule only wakes it for
+  /// earlier deadlines.
   std::atomic<double> io_deadline_{0};
 
   // Transport counters: written by the I/O thread, workers, and sender

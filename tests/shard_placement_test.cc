@@ -1,12 +1,11 @@
-#include "shard/placement.h"
+#include "protocol/placement.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <vector>
 
-namespace dcp::shard {
+namespace dcp::protocol {
 namespace {
 
 PlacementOptions DefaultOptions() {
@@ -29,7 +28,6 @@ TEST(ObjectTable, PlacesEveryObjectOnReplicationFactorNodes) {
       EXPECT_TRUE(p.replicas.Contains(n));
     }
     EXPECT_TRUE(p.replicas.IsSubsetOf(table.pool()));
-    EXPECT_EQ(p.coterie_class, 0u);
   }
 }
 
@@ -50,7 +48,6 @@ TEST(ObjectTable, SameSeedSameTable) {
   for (storage::ObjectId o = 0; o < a.num_objects(); ++o) {
     EXPECT_EQ(a.placement(o).replicas, b.placement(o).replicas);
     EXPECT_EQ(a.placement(o).ranking, b.placement(o).ranking);
-    EXPECT_EQ(a.placement(o).coterie_class, b.placement(o).coterie_class);
   }
 }
 
@@ -75,20 +72,6 @@ TEST(ObjectTable, LoadIsRoughlyBalanced) {
     EXPECT_GT(n, expected / 2) << "node " << node;
     EXPECT_LT(n, expected * 2) << "node " << node;
   }
-}
-
-TEST(ObjectTable, CoterieClassesCoverAllClasses) {
-  PlacementOptions p = DefaultOptions();
-  p.num_objects = 128;
-  p.num_coterie_classes = 3;
-  ObjectTable table(p);
-  std::set<uint32_t> seen;
-  for (storage::ObjectId o = 0; o < table.num_objects(); ++o) {
-    uint32_t c = table.placement(o).coterie_class;
-    EXPECT_LT(c, 3u);
-    seen.insert(c);
-  }
-  EXPECT_EQ(seen.size(), 3u);
 }
 
 TEST(ObjectTable, RebalanceMovesOnlyAffectedObjects) {
@@ -148,4 +131,4 @@ TEST(ObjectTable, FingerprintTracksEpoch) {
 }
 
 }  // namespace
-}  // namespace dcp::shard
+}  // namespace dcp::protocol

@@ -1,10 +1,15 @@
 // Threaded smoke test for the socket transport backend: five
 // ReplicaNodes over a real loopback TCP mesh driving the actual
 // protocol stack — total writes, partial writes, reads, and an epoch
-// change around a failed node. This is the suite the TSan CI lane runs
-// under -fsanitize=thread.
+// change around a failed node. Each protocol scenario ends by stopping
+// the cluster and running the shared invariant checkers (Lemma 1 and
+// replica consistency) over the nodes' final state. This is the suite
+// the TSan CI lane runs under -fsanitize=thread.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -22,6 +27,16 @@ SocketClusterOptions SmokeOptions() {
   o.coterie = protocol::CoterieKind::kMajority;
   o.initial_value = {0, 0, 0, 0, 0, 0, 0, 0};
   return o;
+}
+
+/// Stops the cluster, then checks the epoch and replica invariants over
+/// the quiesced nodes.
+void StopAndCheckInvariants(SocketCluster& cluster) {
+  cluster.Stop();
+  Status epochs = cluster.CheckEpochInvariants();
+  EXPECT_TRUE(epochs.ok()) << epochs.ToString();
+  Status replicas = cluster.CheckReplicaConsistency();
+  EXPECT_TRUE(replicas.ok()) << replicas.ToString();
 }
 
 TEST(SocketTransportTest, StartStopIsCleanAndIdempotent) {
@@ -60,6 +75,7 @@ TEST(SocketTransportTest, WritesReadsAndPartialWritesOverSockets) {
   // Real frames crossed the wire (not just self-delivery).
   EXPECT_GT(cluster.transport().frames_sent(), 0u);
   EXPECT_GT(cluster.transport().frames_received(), 0u);
+  StopAndCheckInvariants(cluster);
 }
 
 TEST(SocketTransportTest, EpochChangeExcludesAndReadmitsAFailedNode) {
@@ -96,6 +112,7 @@ TEST(SocketTransportTest, EpochChangeExcludesAndReadmitsAFailedNode) {
   auto r4 = cluster.ReadSync(4);
   ASSERT_TRUE(r4.ok()) << r4.status().ToString();
   EXPECT_EQ(r4->data, (std::vector<uint8_t>{7, 8}));
+  StopAndCheckInvariants(cluster);
 }
 
 TEST(SocketTransportTest, ConcurrentCoordinatorsMakeProgress) {
@@ -127,18 +144,18 @@ TEST(SocketTransportTest, ConcurrentCoordinatorsMakeProgress) {
   EXPECT_EQ(r->version, static_cast<storage::Version>(kWriters));
   EXPECT_EQ(std::vector<uint8_t>(r->data.begin(), r->data.begin() + kWriters),
             (std::vector<uint8_t>{1, 2, 3, 4}));
+  StopAndCheckInvariants(cluster);
 }
 
 TEST(SocketTransportTest, ShardedMultiObjectClusterOverSockets) {
   // Sharded deployment over the real transport: objects live on
   // placement-chosen subsets with private epoch lineages.
   SocketClusterOptions o = SmokeOptions();
-  o.sharded = true;
   o.num_objects = 16;
   o.replication_factor = 3;
   SocketCluster cluster(o);
   ASSERT_TRUE(cluster.Start().ok());
-  const shard::ObjectTable* table = cluster.table();
+  const protocol::ObjectTable* table = cluster.table();
   ASSERT_NE(table, nullptr);
 
   for (storage::ObjectId obj = 0; obj < o.num_objects; ++obj) {
@@ -157,16 +174,16 @@ TEST(SocketTransportTest, ShardedMultiObjectClusterOverSockets) {
 
   // The group-wide epoch check has no meaning here and must not succeed.
   EXPECT_FALSE(cluster.CheckEpochSync(0).ok());
+  StopAndCheckInvariants(cluster);
 }
 
 TEST(SocketTransportTest, ShardedScopedEpochCheckShrinksOneLineage) {
   SocketClusterOptions o = SmokeOptions();
-  o.sharded = true;
   o.num_objects = 16;
   o.replication_factor = 3;
   SocketCluster cluster(o);
   ASSERT_TRUE(cluster.Start().ok());
-  const shard::ObjectTable* table = cluster.table();
+  const protocol::ObjectTable* table = cluster.table();
   ASSERT_NE(table, nullptr);
 
   // One object homed on node 4, one not — their lineages must move
@@ -207,6 +224,39 @@ TEST(SocketTransportTest, ShardedScopedEpochCheckShrinksOneLineage) {
   auto r = cluster.ReadSync(live_home.NthMember(1), on4);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->data, (std::vector<uint8_t>{5, 5}));
+  StopAndCheckInvariants(cluster);
+}
+
+TEST(SocketTransportTest, IdlePostsDoNotWaitOutThePollTimeout) {
+  // A Schedule(0) posted from a non-node thread must run promptly on an
+  // idle cluster: it may land while the I/O thread is scanning timers
+  // after waking for a due one, and must still interrupt the next poll
+  // rather than wait out its ~100 ms cap. Each round arms a short timer on
+  // the last node (the scan visits it last) and, the moment it runs,
+  // posts to node 0 (already scanned) — the window where a stale
+  // deadline comparison used to skip the wakeup.
+  SocketCluster cluster(SmokeOptions());
+  ASSERT_TRUE(cluster.Start().ok());
+  rt::Runtime* last = cluster.transport().runtime(cluster.num_nodes() - 1);
+  rt::Runtime* first = cluster.transport().runtime(0);
+  constexpr int kRounds = 300;
+  int slow = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    auto timer_ran = std::make_shared<std::promise<void>>();
+    std::future<void> timer_done = timer_ran->get_future();
+    last->Schedule(2.0, [timer_ran] { timer_ran->set_value(); });
+    timer_done.wait();
+
+    auto post_ran = std::make_shared<std::promise<void>>();
+    std::future<void> post_done = post_ran->get_future();
+    const auto posted = std::chrono::steady_clock::now();  // dcp-lint: allow(wall-clock) — real-time wakeup latency
+    first->Schedule(0, [post_ran] { post_ran->set_value(); });
+    post_done.wait();
+    const auto waited = std::chrono::steady_clock::now() - posted;  // dcp-lint: allow(wall-clock) — real-time wakeup latency
+    if (waited >= std::chrono::milliseconds(50)) ++slow;
+  }
+  EXPECT_EQ(slow, 0) << slow << " of " << kRounds
+                     << " idle posts waited >= 50 ms for the I/O thread";
 }
 
 }  // namespace
