@@ -40,9 +40,9 @@ Stats RunPartialWriteWorkload(uint32_t n, int ops, uint64_t object_size) {
   double stale_sum = 0;
   for (int i = 0; i < ops; ++i) {
     auto w = cluster.WriteSyncRetry(
-        static_cast<NodeId>(i % n),
+        static_cast<NodeId>(i % n), 0,
         Update::Partial(static_cast<uint64_t>((i * 13) % object_size),
-                        {uint8_t(i)}));
+                        {uint8_t(i)}), 10);
     if (!w.ok()) ++result.failures;
     uint32_t stale = 0;
     for (uint32_t j = 0; j < n; ++j) {

@@ -112,7 +112,10 @@ RowResult RunConfig(const Config& cfg) {
 
     if (i % 4 == 3) {
       t0 = Clock::now();
-      auto r = cluster.ReadSync((coordinator + 1) % cfg.num_nodes);
+      // A read right behind a write can meet the write's asynchronous
+      // unlock still in flight; retry that conflict as writes do.
+      auto r = cluster.ReadSyncRetry((coordinator + 1) % cfg.num_nodes, 0,
+                                     /*max_attempts=*/20);
       if (!r.ok()) {
         std::fprintf(stderr, "read %d failed: %s\n", i,
                      r.status().ToString().c_str());
@@ -167,7 +170,7 @@ struct FloodStats {
 /// read side paused, so the whole burst parks in the outbound queues
 /// (and whatever the loopback kernel buffers absorbed). Then reads
 /// resume and the measured phase begins: the queues drain through the
-/// blocked-writer path — POLLOUT re-arming on the I/O thread, which
+/// blocked-writer path — EPOLLOUT on the endpoint's owning loop, which
 /// either coalesces up to max_batch_frames frames per syscall or (with
 /// batching off) pays one syscall per frame on the pipeline's
 /// bottleneck thread. Measuring only the drain keeps the enqueue

@@ -66,8 +66,9 @@ bool Dispatch(Cluster& cluster, const std::string& line) {
       return true;
     }
     auto w = cluster.WriteSyncRetry(
-        coord, Update::Partial(offset,
-                               std::vector<uint8_t>(text.begin(), text.end())));
+        coord, 0,
+        Update::Partial(offset, std::vector<uint8_t>(text.begin(), text.end())),
+        10);
     if (w.ok()) {
       std::printf("committed as v%llu\n",
                   static_cast<unsigned long long>(w->version));
@@ -80,7 +81,7 @@ bool Dispatch(Cluster& cluster, const std::string& line) {
       std::printf("usage: read <coord>\n");
       return true;
     }
-    auto r = cluster.ReadSyncRetry(coord);
+    auto r = cluster.ReadSyncRetry(coord, 0, 10);
     if (r.ok()) {
       std::printf("v%llu \"%s\"\n",
                   static_cast<unsigned long long>(r->version),

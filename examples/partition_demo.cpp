@@ -56,7 +56,7 @@ int DurabilityAct() {
 
   for (int i = 1; i <= 2; ++i) {
     auto w = cluster.WriteSyncRetry(
-        0, Update::Partial(1, {static_cast<uint8_t>('0' + i)}));
+        0, 0, Update::Partial(1, {static_cast<uint8_t>('0' + i)}), 10);
     std::printf("write %d: %s (v%llu)\n", i,
                 w.ok() ? "committed" : w.status().ToString().c_str(),
                 w.ok() ? static_cast<unsigned long long>(w->version) : 0ULL);
@@ -114,8 +114,8 @@ int DurabilityAct() {
                   cluster.node(0).store().version()),
               cluster.node(0).has_staged_transaction() ? "yes" : "no");
 
-  auto w = cluster.WriteSyncRetry(0, Update::Partial(1, {'z'}));
-  auto r = cluster.ReadSyncRetry(0);
+  auto w = cluster.WriteSyncRetry(0, 0, Update::Partial(1, {'z'}), 10);
+  auto r = cluster.ReadSyncRetry(0, 0, 10);
   std::printf("post-recovery write: %s, read: v%llu\n",
               w.ok() ? "committed" : w.status().ToString().c_str(),
               r.ok() ? static_cast<unsigned long long>(r->version) : 0ULL);
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
   std::printf("9 nodes, grid coterie, background epoch daemons "
               "(check interval 300, bully election)\n\n");
 
-  auto w0 = cluster.WriteSyncRetry(0, Update::Partial(1, {'1'}));
+  auto w0 = cluster.WriteSyncRetry(0, 0, Update::Partial(1, {'1'}), 10);
   std::printf("pre-partition write: %s\n",
               w0.ok() ? "committed" : w0.status().ToString().c_str());
 
@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
   cluster.RunFor(2500);
   PrintEpochs(cluster);
 
-  auto w_major = cluster.WriteSyncRetry(0, Update::Partial(1, {'2'}));
+  auto w_major = cluster.WriteSyncRetry(0, 0, Update::Partial(1, {'2'}), 10);
   auto w_minor = cluster.WriteSync(4, Update::Partial(1, {'X'}));
   std::printf("\nwrite on quorum side (node 0): %s\n",
               w_major.ok() ? "committed" : w_major.status().ToString().c_str());
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   cluster.RunFor(4000);
   PrintEpochs(cluster);
 
-  auto r = cluster.ReadSyncRetry(4);
+  auto r = cluster.ReadSyncRetry(4, 0, 10);
   std::printf("\nread from ex-minority node 4: %s v%llu\n",
               r.ok() ? "ok" : r.status().ToString().c_str(),
               r.ok() ? static_cast<unsigned long long>(r->version) : 0ULL);
@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
   int committed = 0;
   for (int i = 0; i < 10; ++i) {
     auto w = cluster.WriteSyncRetry(
-        0, Update::Partial(2, {static_cast<uint8_t>('a' + i)}), 20);
+        0, 0, Update::Partial(2, {static_cast<uint8_t>('a' + i)}), 20);
     if (w.ok()) ++committed;
   }
   const auto& nstats = cluster.network().stats();

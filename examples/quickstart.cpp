@@ -39,7 +39,8 @@ int main() {
 
   // 2. A partial write from node 0: patch bytes 7..16 in place. Only a
   //    write quorum (~2*sqrt(N) nodes) is contacted.
-  auto w = cluster.WriteSyncRetry(0, Update::Partial(7, Bytes("DURABLE ")));
+  auto w =
+      cluster.WriteSyncRetry(0, 0, Update::Partial(7, Bytes("DURABLE ")), 10);
   if (!w.ok()) {
     std::printf("write failed: %s\n", w.status().ToString().c_str());
     return 1;
@@ -49,7 +50,7 @@ int main() {
 
   // 3. Read from a different coordinator; the read quorum is guaranteed
   //    to intersect every write quorum, so it sees the new version.
-  auto r = cluster.ReadSyncRetry(5);
+  auto r = cluster.ReadSyncRetry(5, 0, 10);
   std::printf("read from node 5: v%llu \"%s\"\n",
               static_cast<unsigned long long>(r->version),
               Text(r->data).c_str());
@@ -66,7 +67,8 @@ int main() {
                   cluster.node(0).store().epoch_number()),
               cluster.node(0).store().epoch_list().ToString().c_str());
 
-  auto w2 = cluster.WriteSyncRetry(2, Update::Partial(0, Bytes("HELLO")));
+  auto w2 =
+      cluster.WriteSyncRetry(2, 0, Update::Partial(0, Bytes("HELLO")), 10);
   std::printf("write with node 4 down: %s (v%llu)\n",
               w2.ok() ? "ok" : w2.status().ToString().c_str(),
               w2.ok() ? static_cast<unsigned long long>(w2->version) : 0ULL);

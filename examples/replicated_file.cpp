@@ -50,7 +50,8 @@ int main() {
     NodeId writer = static_cast<NodeId>(i % kNodes);
     uint64_t offset = (static_cast<uint64_t>(i) * kBlockSize) % kFileSize;
     auto w = cluster.WriteSyncRetry(
-        writer, Update::Partial(offset, Block(static_cast<uint8_t>(i + 1))));
+        writer, 0, Update::Partial(offset, Block(static_cast<uint8_t>(i + 1))),
+        10);
     if (w.ok()) ++committed;
     // Writers do NOT wait for propagation: it is asynchronous.
   }
@@ -102,7 +103,7 @@ int main() {
                   cluster.node(0).store().version()));
 
   // Phase 4: a reader validates the file contents block by block.
-  auto r = cluster.ReadSyncRetry(7);
+  auto r = cluster.ReadSyncRetry(7, 0, 10);
   if (!r.ok()) {
     std::printf("read failed: %s\n", r.status().ToString().c_str());
     return 1;

@@ -48,6 +48,19 @@ R RunOnNode(protocol::ReplicaNode* node, rt::Time timeout_ms,
   return future.get();
 }
 
+/// Repeats `attempt()` while it fails with a lock conflict, up to
+/// `max_attempts` times, with linear real-time backoff.
+template <typename R, typename Attempt>
+R RetryOnConflict(int max_attempts, Attempt attempt) {
+  R result = Status::InvalidArgument("max_attempts must be >= 1");
+  for (int i = 1; i <= max_attempts; ++i) {
+    result = attempt();
+    if (result.ok() || !result.status().IsConflict()) return result;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5L * i));
+  }
+  return result;
+}
+
 }  // namespace
 
 SocketCluster::SocketCluster(SocketClusterOptions options)
@@ -68,7 +81,7 @@ SocketCluster::SocketCluster(SocketClusterOptions options)
 }
 
 SocketCluster::~SocketCluster() {
-  // Stop the threads before any node is destroyed: a live worker may be
+  // Stop the threads before any node is destroyed: a live loop may be
   // deep inside protocol code.
   transport_.Stop();
 }
@@ -133,15 +146,16 @@ Result<WriteOutcome> SocketCluster::WriteSyncRetry(NodeId coordinator,
                                                    storage::ObjectId object,
                                                    storage::Update update,
                                                    int max_attempts) {
-  Result<WriteOutcome> result =
-      Status::InvalidArgument("max_attempts must be >= 1");
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    result = WriteSync(coordinator, object, update);
-    if (result.ok() || !result.status().IsConflict()) return result;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(5L * attempt));
-  }
-  return result;
+  return RetryOnConflict<Result<WriteOutcome>>(max_attempts, [&] {
+    return WriteSync(coordinator, object, update);
+  });
+}
+
+Result<ReadOutcome> SocketCluster::ReadSyncRetry(NodeId coordinator,
+                                                 storage::ObjectId object,
+                                                 int max_attempts) {
+  return RetryOnConflict<Result<ReadOutcome>>(
+      max_attempts, [&] { return ReadSync(coordinator, object); });
 }
 
 }  // namespace dcp::harness

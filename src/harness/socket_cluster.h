@@ -110,11 +110,14 @@ class SocketCluster {
   [[nodiscard]] Status CheckEpochInvariants() const;
   [[nodiscard]] Status CheckReplicaConsistency() const;
 
-  /// WriteSync with bounded retries on lock conflicts (linear real-time
-  /// backoff) — the socket-side analogue of Cluster::WriteSyncRetry.
+  /// WriteSync/ReadSync with bounded retries on lock conflicts (linear
+  /// real-time backoff) — the socket-side analogue of
+  /// Cluster::WriteSyncRetry/ReadSyncRetry.
   [[nodiscard]] Result<protocol::WriteOutcome> WriteSyncRetry(
       NodeId coordinator, storage::ObjectId object, storage::Update update,
-      int max_attempts = 10);
+      int max_attempts);
+  [[nodiscard]] Result<protocol::ReadOutcome> ReadSyncRetry(
+      NodeId coordinator, storage::ObjectId object, int max_attempts);
 
  private:
   SocketClusterOptions options_;

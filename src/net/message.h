@@ -24,7 +24,7 @@ namespace dcp::net {
 /// Interning happens on conversion from a string; passing `msg::k*`
 /// constants costs one short-string hash, no allocation after first use.
 /// The table only grows (types are a protocol vocabulary, not data). It
-/// is guarded by a mutex so the socket backend's worker threads can
+/// is guarded by a mutex so the socket backend's event-loop threads can
 /// intern decoded type names concurrently; on the sim backend the lock
 /// is uncontended and the hot path (pointer copies, pointer equality)
 /// never touches the table at all.

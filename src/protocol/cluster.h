@@ -189,23 +189,17 @@ class Cluster {
   [[nodiscard]] Status CheckObjectEpochSync(NodeId initiator,
                                             storage::ObjectId object);
 
-  /// WriteSync with bounded retries on lock conflicts (randomized
-  /// backoff); the usual way clients drive writes.
+  /// WriteSync/ReadSync with bounded retries on lock conflicts
+  /// (randomized backoff); the usual way clients drive operations. The
+  /// object and the attempt budget are both explicit: an object-less
+  /// overload would let `ReadSyncRetry(coordinator, object)` bind the
+  /// object to the attempt budget and silently read object 0.
   [[nodiscard]] Result<WriteOutcome> WriteSyncRetry(NodeId coordinator,
                                       storage::ObjectId object, Update update,
                                       int max_attempts);
-  [[nodiscard]]
-  Result<WriteOutcome> WriteSyncRetry(NodeId coordinator, Update update,
-                                      int max_attempts = 10) {
-    return WriteSyncRetry(coordinator, 0, std::move(update), max_attempts);
-  }
   [[nodiscard]] Result<ReadOutcome> ReadSyncRetry(NodeId coordinator,
                                     storage::ObjectId object,
                                     int max_attempts);
-  [[nodiscard]] Result<ReadOutcome> ReadSyncRetry(NodeId coordinator,
-                                    int max_attempts = 10) {
-    return ReadSyncRetry(coordinator, 0, max_attempts);
-  }
 
   // --- fault injection ---
   void Crash(NodeId id);

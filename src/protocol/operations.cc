@@ -186,11 +186,14 @@ class WriteOp : public std::enable_shared_from_this<WriteOp> {
           rule.IsWriteQuorum(a.max_epoch_list, KeysOf(self->held_)) &&
           a.HasCurrentReplica()) {
         self->CommitPhase(a);
+      } else if (self->saw_conflict_) {
+        // A replica that refused the lock may be the current one, so even
+        // a quorum of stale replicas is a transient conflict, not proof
+        // that no current replica is reachable.
+        self->Fail(Status::Conflict("lock conflicts prevented a quorum"));
       } else if (!a.HasCurrentReplica() && !self->held_.empty() &&
                  rule.IsWriteQuorum(a.max_epoch_list, KeysOf(self->held_))) {
         self->Fail(Status::StaleData("no current replica reachable"));
-      } else if (self->saw_conflict_) {
-        self->Fail(Status::Conflict("lock conflicts prevented a quorum"));
       } else {
         self->Fail(Status::Unavailable("no write quorum reachable"));
       }
@@ -650,14 +653,15 @@ class TxnWriteOp : public std::enable_shared_from_this<TxnWriteOp> {
       LockObject(idx + 1);
     } else if (!po.heavy) {
       StartHeavy(idx);
+    } else if (saw_conflict_) {
+      // As in WriteOp: a refused lock may hide the current replica.
+      Fail(Status::Conflict("lock conflicts prevented a quorum for object " +
+                            std::to_string(object)));
     } else if (!a.HasCurrentReplica() && !po.held.empty() &&
                node_->rule_for(object).IsWriteQuorum(a.max_epoch_list,
                                                      KeysOf(po.held))) {
       Fail(Status::StaleData("no current replica reachable for object " +
                              std::to_string(object)));
-    } else if (saw_conflict_) {
-      Fail(Status::Conflict("lock conflicts prevented a quorum for object " +
-                            std::to_string(object)));
     } else {
       Fail(Status::Unavailable("no write quorum reachable for object " +
                                std::to_string(object)));

@@ -5,6 +5,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -13,7 +16,11 @@
 #include <array>
 #include <cassert>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <map>
+#include <thread>
 #include <utility>
 
 namespace dcp::rt {
@@ -24,12 +31,20 @@ namespace {
 constexpr size_t kFrameHeaderBytes = 4;
 /// Frames larger than this are treated as stream corruption.
 constexpr uint32_t kMaxFrameBytes = 64u << 20;
-/// Messages drained from one node's inbox per worker pass, bounding how
-/// long one busy node can hold a worker while others wait.
+/// Self-sent messages drained from one node's inbox per loop pass,
+/// bounding how long one busy node can hold its loop while others wait.
 constexpr size_t kDrainBatch = 64;
-/// Poll timeout ceiling: even with no timers the I/O thread wakes at
-/// this cadence to re-check the stop flag.
+/// Bytes read from one endpoint per loop pass, so one flooding peer
+/// cannot starve the loop's other endpoints and nodes.
+constexpr size_t kReadChunk = 64 * 1024;
+constexpr size_t kMaxReadBytesPerPass = 4 * kReadChunk;
+/// epoll events collected per wait.
+constexpr int kMaxEvents = 64;
+/// Wait ceiling: even with no timers a loop wakes at this cadence.
 constexpr int kMaxPollMs = 100;
+/// A loop's stored deadline while it is awake: it will scan its timers
+/// and posts before it next sleeps, so no one needs to wake it.
+constexpr double kAwake = -std::numeric_limits<double>::infinity();
 /// Stack-allocated iovec budget per writev; max_batch_frames clamps to
 /// this (well under any platform's IOV_MAX).
 constexpr size_t kMaxIovecs = 64;
@@ -52,18 +67,87 @@ void PatchFrameHeader(std::vector<uint8_t>& frame) {
   frame[3] = static_cast<uint8_t>((len >> 24) & 0xff);
 }
 
+uint32_t DefaultLoops(uint32_t nodes) {
+  // The CPUs this process may run on, not the machine's: a process
+  // confined to k CPUs should not start more loops than it can schedule.
+  uint32_t cpus = std::thread::hardware_concurrency();
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    cpus = static_cast<uint32_t>(CPU_COUNT(&set));
+  }
+  return std::clamp(std::min(nodes, cpus / 2), 2u, 8u);
+}
+
+util::BufferPoolOptions PoolOptions(const SocketTransportOptions& o) {
+  util::BufferPoolOptions p;
+  p.enabled = o.pool_buffers;
+  return p;
+}
+
 }  // namespace
 
-/// Per-node execution context: mailbox (decoded inbound messages +
-/// posted closures), timer heap, and a private observability context.
-/// Mailbox and timers are mutex-guarded; the closures and message
-/// handlers themselves run exclusively on whichever worker holds the
-/// node (the `queued` flag arbitrates), giving per-node single-threaded
-/// semantics with cross-worker happens-before from the queue mutexes.
-class SocketTransport::NodeLoop final : public Runtime {
+/// One event-loop thread: an epoll set over its nodes' endpoints plus an
+/// eventfd that other threads write to wake it.
+class SocketTransport::EventLoop {
  public:
-  NodeLoop(SocketTransport* transport, NodeId id)
-      : transport_(transport), id_(id) {
+  EventLoop() = default;
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
+  ~EventLoop() {
+    if (thread.joinable()) thread.join();
+    if (epfd >= 0) ::close(epfd);
+    if (efd >= 0) ::close(efd);
+  }
+
+  /// Interrupts the loop's epoll_wait (any thread). A no-op before Start
+  /// has created the eventfd.
+  void Wake() const {
+    if (efd < 0) return;
+    const uint64_t one = 1;
+    [[maybe_unused]] ssize_t r = ::write(efd, &one, sizeof(one));
+  }
+
+  /// Wakes the loop for work due at `when`, unless the caller is the loop
+  /// itself or the loop will look before `when` anyway. `deadline` holds
+  /// the time the loop sleeps toward, kAwake while it is running (it
+  /// scans before sleeping), and — during the scan — an upper bound
+  /// stored before the scan began, so work landing on an already-scanned
+  /// node still wakes it.
+  void WakeFor(Time when) const {
+    if (current == this) return;
+    if (when < deadline.load(std::memory_order_acquire)) Wake();
+  }
+
+  /// The loop whose thread is running, if any.
+  static thread_local const EventLoop* current;
+
+  std::vector<NodeRuntime*> nodes;  ///< Set at construction.
+  int epfd = -1;
+  int efd = -1;
+  std::atomic<bool> stopping{false};
+  /// Some endpoint's flags changed; re-sync the epoll set before sleeping.
+  std::atomic<bool> resync{false};
+  std::atomic<double> deadline{kAwake};
+  // Loop-thread-only scratch, reused every pass.
+  std::vector<std::function<void()>> closures;
+  std::vector<net::Message> messages;
+  std::vector<uint8_t> rx = std::vector<uint8_t>(kReadChunk);
+  std::thread thread;  ///< Declared last: it uses every member above.
+};
+
+thread_local const SocketTransport::EventLoop*
+    SocketTransport::EventLoop::current = nullptr;
+
+/// Per-node execution context: self-send inbox, posted closures, timers,
+/// and a private observability context. The queues are mutex-guarded so
+/// any thread may post; the closures and message handlers themselves run
+/// only on the owning loop's thread, giving per-node single-threaded
+/// semantics.
+class SocketTransport::NodeRuntime final : public Runtime {
+ public:
+  NodeRuntime(SocketTransport* transport, NodeId id, EventLoop* loop)
+      : transport_(transport), id_(id), loop_(loop) {
     obs_.tracer.set_clock([this] { return Now(); });
   }
 
@@ -82,12 +166,9 @@ class SocketTransport::NodeLoop final : public Runtime {
       timers_.emplace(std::make_pair(when, seq), std::move(fn));
       timer_deadline_.emplace(seq, when);
     }
-    // Only interrupt the I/O thread's sleep for deadlines earlier than
-    // the one it is sleeping toward (RPC-timeout timers, the common
-    // case, are far in the future and never cost a wakeup).
-    if (when < transport_->io_deadline_.load(std::memory_order_acquire)) {
-      transport_->WakeIo();
-    }
+    // Only deadlines earlier than the one the loop sleeps toward cost a
+    // wakeup (RPC-timeout timers, the common case, never do).
+    loop_->WakeFor(when);
     return TimerId{seq, id_};
   }
 
@@ -109,17 +190,15 @@ class SocketTransport::NodeLoop final : public Runtime {
 
   SocketTransport* transport_;
   NodeId id_;
+  EventLoop* loop_;
   obs::Observability obs_;
   std::atomic<bool> up_{true};
-  /// Set once via Register before traffic starts; read by workers.
+  /// Set once via Register before traffic starts; read by the loop.
   net::MessageSink* sink_ = nullptr;
 
   util::Mutex mu_;
   std::deque<net::Message> inbox_ DCP_GUARDED_BY(mu_);
   std::deque<std::function<void()>> posted_ DCP_GUARDED_BY(mu_);
-  /// True while the node sits in the ready queue or a worker drains it;
-  /// guarantees at most one worker runs this node's code at a time.
-  bool queued_ DCP_GUARDED_BY(mu_) = false;
 
   // Timers, ordered by (deadline, seq); `timer_deadline_` maps a live
   // timer's seq to its key so Cancel is a lookup, not a scan.
@@ -128,16 +207,6 @@ class SocketTransport::NodeLoop final : public Runtime {
   std::map<uint64_t, Time> timer_deadline_ DCP_GUARDED_BY(mu_);
   uint64_t next_timer_seq_ DCP_GUARDED_BY(mu_) = 1;
 };
-
-namespace {
-
-util::BufferPoolOptions PoolOptions(const SocketTransportOptions& o) {
-  util::BufferPoolOptions p;
-  p.enabled = o.pool_buffers;
-  return p;
-}
-
-}  // namespace
 
 SocketTransport::SocketTransport(SocketTransportOptions options)
     : options_(std::move(options)),
@@ -148,9 +217,17 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
          "SocketTransport needs a wire codec (see protocol::MakeWireCodec)");
   options_.max_batch_frames = std::max(options_.max_batch_frames, 1u);
   options_.max_queue_frames = std::max<size_t>(options_.max_queue_frames, 1);
-  loops_.reserve(options_.num_nodes);
+  const uint32_t k = options_.num_workers > 0
+                         ? options_.num_workers
+                         : DefaultLoops(options_.num_nodes);
+  for (uint32_t l = 0; l < k; ++l) {
+    loops_.push_back(std::make_unique<EventLoop>());
+  }
+  nodes_.reserve(options_.num_nodes);
   for (uint32_t i = 0; i < options_.num_nodes; ++i) {
-    loops_.push_back(std::make_unique<NodeLoop>(this, NodeId{i}));
+    EventLoop* owner = loops_[i % k].get();
+    nodes_.push_back(std::make_unique<NodeRuntime>(this, NodeId{i}, owner));
+    owner->nodes.push_back(nodes_.back().get());
   }
   ep_.resize(options_.num_nodes);
   for (auto& row : ep_) row.resize(options_.num_nodes);
@@ -163,9 +240,9 @@ Time SocketTransport::NowMs() const {
   return std::chrono::duration<double, std::milli>(d).count();
 }
 
-SocketTransport::NodeLoop* SocketTransport::loop(NodeId node) const {
-  assert(node < loops_.size());
-  return loops_[node].get();
+SocketTransport::NodeRuntime* SocketTransport::node(NodeId id) const {
+  assert(id < nodes_.size());
+  return nodes_[id].get();
 }
 
 Status SocketTransport::Start() {
@@ -233,44 +310,41 @@ Status SocketTransport::Start() {
     }
   }
 
-  if (::pipe(wake_pipe_) != 0) return Errno("pipe");
-  SetNonBlocking(wake_pipe_[0]);
-  SetNonBlocking(wake_pipe_[1]);
-
-  uint32_t workers = options_.num_workers;
-  if (workers == 0) {
-    uint32_t hw = std::thread::hardware_concurrency();
-    workers = std::min(n, std::max(2u, hw / 2));
-    workers = std::min(workers, 8u);
-    workers = std::max(workers, 2u);
-  }
-
-  {
-    util::MutexLock lock(&ready_mu_);
-    stopping_ = false;
+  for (auto& l : loops_) {
+    if (l->epfd < 0) {
+      l->epfd = ::epoll_create1(EPOLL_CLOEXEC);
+      if (l->epfd < 0) return Errno("epoll_create1");
+    }
+    if (l->efd < 0) {
+      l->efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      if (l->efd < 0) return Errno("eventfd");
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.ptr = nullptr;
+      if (::epoll_ctl(l->epfd, EPOLL_CTL_ADD, l->efd, &ev) != 0) {
+        return Errno("epoll_ctl");
+      }
+    }
+    l->stopping.store(false, std::memory_order_relaxed);
+    // The first pass registers every endpoint the loop owns.
+    l->resync.store(true, std::memory_order_relaxed);
   }
   started_.store(true);
-  io_thread_ = std::thread([this] { IoThread(); });
-  workers_.reserve(workers);
-  for (uint32_t w = 0; w < workers; ++w) {
-    workers_.emplace_back([this] { WorkerThread(); });
+  for (auto& l : loops_) {
+    l->thread = std::thread([this, loop = l.get()] { Run(*loop); });
   }
   return Status::OK();
 }
 
 void SocketTransport::Stop() {
   if (!started_.exchange(false)) return;
-  {
-    util::MutexLock lock(&ready_mu_);
-    stopping_ = true;
+  for (auto& l : loops_) {
+    l->stopping.store(true, std::memory_order_release);
+    l->Wake();
   }
-  ready_cv_.NotifyAll();
-  WakeIo();
-  if (io_thread_.joinable()) io_thread_.join();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
+  for (auto& l : loops_) {
+    if (l->thread.joinable()) l->thread.join();
   }
-  workers_.clear();
   for (auto& row : ep_) {
     for (auto& ep : row) {
       if (!ep) continue;
@@ -297,7 +371,7 @@ void SocketTransport::Stop() {
         std::this_thread::yield();
       }
       if (ep->fd >= 0) {
-        ::close(ep->fd);
+        ::close(ep->fd);  // Also leaves its loop's epoll set.
         ep->fd = -1;
       }
     }
@@ -308,27 +382,21 @@ void SocketTransport::Stop() {
       fd = -1;
     }
   }
-  for (int& fd : wake_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
 }
 
-void SocketTransport::Register(NodeId node, net::MessageSink* sink) {
-  loop(node)->sink_ = sink;
+void SocketTransport::Register(NodeId id, net::MessageSink* sink) {
+  node(id)->sink_ = sink;
 }
 
-void SocketTransport::SetNodeUp(NodeId node, bool up) {
-  loop(node)->up_.store(up, std::memory_order_release);
+void SocketTransport::SetNodeUp(NodeId id, bool up) {
+  node(id)->up_.store(up, std::memory_order_release);
 }
 
-bool SocketTransport::IsUp(NodeId node) const {
-  return loop(node)->up_.load(std::memory_order_acquire);
+bool SocketTransport::IsUp(NodeId id) const {
+  return node(id)->up_.load(std::memory_order_acquire);
 }
 
-Runtime* SocketTransport::runtime(NodeId node) { return loop(node); }
+Runtime* SocketTransport::runtime(NodeId id) { return node(id); }
 
 void SocketTransport::set_send_tap(SendTap tap) {
   assert(!started_.load() && "install the send tap before Start()");
@@ -347,80 +415,33 @@ TransportCounters SocketTransport::counters() const {
   return c;
 }
 
-void SocketTransport::EnqueueReady(NodeLoop* l) {
-  bool enqueue = false;
-  {
-    util::MutexLock lock(&l->mu_);
-    if (!l->queued_ && (!l->inbox_.empty() || !l->posted_.empty())) {
-      l->queued_ = true;
-      enqueue = true;
-    }
-  }
-  if (enqueue) {
-    {
-      util::MutexLock lock(&ready_mu_);
-      ready_.push_back(l->id_);
-    }
-    ready_cv_.NotifyOne();
-  }
-}
-
 void SocketTransport::DeliverLocal(net::Message msg) {
-  NodeLoop* l = loop(msg.dst);
+  NodeRuntime* n = node(msg.dst);
   {
-    util::MutexLock lock(&l->mu_);
-    l->inbox_.push_back(std::move(msg));
+    util::MutexLock lock(&n->mu_);
+    n->inbox_.push_back(std::move(msg));
   }
-  EnqueueReady(l);
+  n->loop_->WakeFor(kAwake);  // Due now: wakes any sleeping loop.
 }
 
-void SocketTransport::DeliverBatch(std::vector<net::Message> batch) {
-  // One mailbox lock + one ready-queue wakeup per destination run. On a
-  // mesh endpoint every frame targets the same node, so the whole batch
-  // is usually a single run.
-  size_t i = 0;
-  while (i < batch.size()) {
-    const NodeId dst = batch[i].dst;
-    NodeLoop* l = loop(dst);
-    bool enqueue = false;
-    {
-      util::MutexLock lock(&l->mu_);
-      while (i < batch.size() && batch[i].dst == dst) {
-        l->inbox_.push_back(std::move(batch[i]));
-        ++i;
-      }
-      if (!l->queued_) {
-        l->queued_ = true;  // Inbox is non-empty by construction.
-        enqueue = true;
-      }
-    }
-    if (enqueue) {
-      {
-        util::MutexLock lock(&ready_mu_);
-        ready_.push_back(l->id_);
-      }
-      ready_cv_.NotifyOne();
-    }
-  }
-}
-
-void SocketTransport::PostClosure(NodeId node, std::function<void()> fn) {
-  NodeLoop* l = loop(node);
+void SocketTransport::PostClosure(NodeId id, std::function<void()> fn) {
+  NodeRuntime* n = node(id);
   {
-    util::MutexLock lock(&l->mu_);
-    l->posted_.push_back(std::move(fn));
+    util::MutexLock lock(&n->mu_);
+    n->posted_.push_back(std::move(fn));
   }
-  EnqueueReady(l);
+  n->loop_->WakeFor(kAwake);
 }
 
-void SocketTransport::WakeIo() {
-  if (wake_pipe_[1] < 0) return;
-  char b = 1;
-  // A full pipe already guarantees a pending wakeup.
-  [[maybe_unused]] ssize_t r = ::write(wake_pipe_[1], &b, 1);
+void SocketTransport::RequestResync(NodeId owner) {
+  EventLoop* l = node(owner)->loop_;
+  l->resync.store(true, std::memory_order_release);
+  // Another thread cannot tell whether the loop already passed its
+  // pre-sleep resync, so it always wakes it; interest changes are rare.
+  if (EventLoop::current != l) l->Wake();
 }
 
-SocketTransport::FlushResult SocketTransport::Flush(Endpoint& ep) {
+void SocketTransport::Flush(Endpoint& ep) {
   ep.out_mu.Lock();
   // Single-flusher protocol: whoever sets `flushing` owns the drain
   // until the queue empties or the socket blocks. Everyone else just
@@ -428,15 +449,12 @@ SocketTransport::FlushResult SocketTransport::Flush(Endpoint& ep) {
   // exactly where multi-frame batches come from.
   if (ep.flushing) {
     ep.out_mu.Unlock();
-    return FlushResult::kDrained;
+    return;
   }
   ep.flushing = true;
-  FlushResult result = FlushResult::kDrained;
+  bool blocked = false;
   for (;;) {
-    if (ep.broken.load(std::memory_order_acquire)) {
-      result = FlushResult::kError;
-      break;
-    }
+    if (ep.broken.load(std::memory_order_acquire)) break;
     if (ep.outq.empty()) break;
 
     // Gather up to max_batch_frames frames into one scatter-gather
@@ -484,11 +502,10 @@ SocketTransport::FlushResult SocketTransport::Flush(Endpoint& ep) {
     if (n < 0) {
       if (err == EINTR) continue;
       if (err == EAGAIN || err == EWOULDBLOCK) {
-        result = FlushResult::kBlocked;
+        blocked = true;
         break;
       }
       TeardownLocked(ep);  // Queue cleanup happens below (we flush).
-      result = FlushResult::kError;
       break;
     }
     writev_calls_.fetch_add(1, std::memory_order_relaxed);
@@ -508,20 +525,25 @@ SocketTransport::FlushResult SocketTransport::Flush(Endpoint& ep) {
         left = 0;
       }
     }
-    // Under a test write cap, yield to the I/O thread after each capped
+    // Under a test write cap, yield to the owner loop after each capped
     // write so fault tests can interleave teardowns mid-frame.
     if (cap > 0 && !ep.outq.empty()) {
-      result = FlushResult::kBlocked;
+      blocked = true;
       break;
     }
   }
   // A teardown that raced this flush deferred queue cleanup to us.
-  if (ep.broken.load(std::memory_order_acquire) && !ep.outq.empty()) {
-    FailQueueLocked(ep);
-  }
+  const bool broken = ep.broken.load(std::memory_order_acquire);
+  if (broken && !ep.outq.empty()) FailQueueLocked(ep);
+  // The last flusher decides, under out_mu, whether a remainder waits
+  // for EPOLLOUT — so a drain on one thread can never disarm a wait that
+  // a blocked flush on another thread just asked for.
+  const bool want = blocked && !broken;
+  const bool rearm =
+      ep.want_pollout.exchange(want, std::memory_order_acq_rel) != want;
   ep.flushing = false;
   ep.out_mu.Unlock();
-  return result;
+  if (rearm) RequestResync(ep.owner);
 }
 
 void SocketTransport::FailQueueLocked(Endpoint& ep) {
@@ -538,7 +560,7 @@ void SocketTransport::FailQueueLocked(Endpoint& ep) {
 void SocketTransport::TeardownLocked(Endpoint& ep) {
   if (ep.broken.exchange(true, std::memory_order_acq_rel)) return;
   // Shut down rather than close: the fd number stays valid (no reuse
-  // races with the polling I/O thread); both directions of the shared
+  // races with the owner loop's epoll set); both directions of the shared
   // TCP connection die, so the peer side observes EOF and tears down
   // its endpoint symmetrically. The actual close happens in Stop().
   if (ep.fd >= 0) ::shutdown(ep.fd, SHUT_RDWR);
@@ -546,7 +568,7 @@ void SocketTransport::TeardownLocked(Endpoint& ep) {
   // it fails the queue itself as soon as it re-acquires the lock.
   if (!ep.flushing) FailQueueLocked(ep);
   ep.want_pollout.store(false, std::memory_order_release);
-  WakeIo();  // Drop the fd from the I/O thread's poll set.
+  RequestResync(ep.owner);  // Drop the fd from its loop's epoll set.
 }
 
 void SocketTransport::Teardown(Endpoint& ep) {
@@ -562,7 +584,7 @@ void SocketTransport::Send(net::Message msg, std::function<void()> on_failed) {
 
   const NodeId src = msg.src;
   const NodeId dst = msg.dst;
-  if (dst >= loops_.size()) {
+  if (dst >= nodes_.size()) {
     if (on_failed) PostClosure(src, std::move(on_failed));
     return;
   }
@@ -574,7 +596,7 @@ void SocketTransport::Send(net::Message msg, std::function<void()> on_failed) {
     return;
   }
   if (dst == src) {
-    // Self-sends skip the kernel; mailbox FIFO preserves order.
+    // Self-sends skip the kernel; the inbox's FIFO preserves order.
     DeliverLocal(std::move(msg));
     return;
   }
@@ -603,8 +625,8 @@ void SocketTransport::Send(net::Message msg, std::function<void()> on_failed) {
       failed = true;
     } else if (ep->outq.size() >= options_.max_queue_frames ||
                ep->outq_bytes + frame.size() > options_.max_queue_bytes) {
-      // Slow-peer backpressure: fail the send instead of blocking a
-      // worker thread until the peer drains.
+      // Slow-peer backpressure: fail the send instead of blocking the
+      // sending thread until the peer drains.
       overflow = failed = true;
     } else {
       ep->outq_bytes += frame.size();
@@ -623,24 +645,14 @@ void SocketTransport::Send(net::Message msg, std::function<void()> on_failed) {
   // its own acquire/drop/reacquire cycle (see the header comment). The
   // gap between enqueue and flush is benign — whoever holds `flushing`
   // at that moment drains our frame, and a racing teardown fails it via
-  // on_failed either way.
-  switch (Flush(*ep)) {
-    case FlushResult::kDrained:
-      break;
-    case FlushResult::kBlocked:
-      // Hand the remainder to the I/O thread via POLLOUT re-arming.
-      if (!ep->want_pollout.exchange(true, std::memory_order_acq_rel)) {
-        WakeIo();
-      }
-      break;
-    case FlushResult::kError:
-      break;  // Torn down inside the flush; on_failed already posted.
-  }
+  // on_failed either way. A remainder the socket would not take is left
+  // to the owner loop's EPOLLOUT.
+  Flush(*ep);
 }
 
 void SocketTransport::ConsumeFrames(Endpoint& ep) {
+  NodeRuntime* owner = node(ep.owner);
   size_t off = 0;
-  std::vector<net::Message> batch;
   bool corrupt = false;
   while (ep.rbuf.size() - off >= kFrameHeaderBytes) {
     const uint8_t* p = ep.rbuf.data() + off;
@@ -656,21 +668,27 @@ void SocketTransport::ConsumeFrames(Endpoint& ep) {
     }
     if (ep.rbuf.size() - off - kFrameHeaderBytes < len) break;
     net::Message msg;
-    if (!options_.codec.decode(p + kFrameHeaderBytes, len, &msg)) {
-      // A well-framed but undecodable payload is equally fatal: correct
-      // peers never produce one, so this length prefix was garbage that
-      // happened to look plausible.
+    // A well-framed but undecodable payload is equally fatal: correct
+    // peers never produce one, so this length prefix was garbage that
+    // happened to look plausible. So is a frame that names another
+    // sender or receiver than this connection's two ends — a correct
+    // peer only ever writes its own messages to us here, and honoring
+    // the header would let one connection speak for every node.
+    if (!options_.codec.decode(p + kFrameHeaderBytes, len, &msg) ||
+        msg.src != ep.peer || msg.dst != ep.owner) {
       corrupt = true;
       break;
     }
     frames_received_.fetch_add(1, std::memory_order_relaxed);
-    if (msg.dst < loops_.size()) batch.push_back(std::move(msg));
     off += kFrameHeaderBytes + len;
+    // Run to completion: the handler runs here, on the owner's loop.
+    // Only this loop touches rbuf, so `off` stays valid across the call.
+    if (owner->sink_ != nullptr) owner->sink_->Deliver(std::move(msg));
   }
   if (corrupt) {
     // Tear the connection down instead of clearing the buffer and
     // misreading subsequent bytes as fresh headers. Frames decoded
-    // before the corruption point are still good and get delivered.
+    // before the corruption point were good and have been delivered.
     decode_failures_.fetch_add(1, std::memory_order_relaxed);
     ep.rbuf.clear();
     Teardown(ep);
@@ -678,171 +696,150 @@ void SocketTransport::ConsumeFrames(Endpoint& ep) {
     ep.rbuf.erase(ep.rbuf.begin(),
                   ep.rbuf.begin() + static_cast<long>(off));
   }
-  if (!batch.empty()) DeliverBatch(std::move(batch));
 }
 
-void SocketTransport::IoThread() {
-  std::vector<pollfd> fds;
-  std::vector<Endpoint*> eps;
-  for (;;) {
-    {
-      util::MutexLock lock(&ready_mu_);
-      if (stopping_) return;
+void SocketTransport::ReadEndpoint(EventLoop& loop, Endpoint& ep) {
+  if (ep.read_paused.load(std::memory_order_acquire)) return;
+  bool eof = false;
+  uint8_t* buf = loop.rx.data();
+  for (size_t got = 0; got < kMaxReadBytesPerPass;) {
+    const ssize_t n = ::recv(ep.fd, buf, loop.rx.size(), 0);
+    if (n > 0) {
+      ep.rbuf.insert(ep.rbuf.end(), buf, buf + n);
+      got += static_cast<size_t>(n);
+      // A short read drained the socket: skip the trailing EAGAIN call.
+      if (static_cast<size_t>(n) < loop.rx.size()) break;
+      continue;
     }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && errno == EINTR) continue;
+    eof = true;  // Peer closed or connection error.
+    break;
+  }
+  // Whatever is left past the per-pass budget stays readable, so the
+  // level-triggered epoll set reports it again next pass.
+  ConsumeFrames(ep);
+  if (eof && !ep.broken.load(std::memory_order_acquire)) {
+    // The connection died under us (peer teardown or a mid-frame kill).
+    // Fail our queued sends; a half-received frame in rbuf is discarded
+    // with the connection, never misread.
+    ep.rbuf.clear();
+    Teardown(ep);
+  }
+}
 
-    // Fire due timers and find the next deadline across all nodes. The
-    // upper bound goes out before the scan: a ScheduleAt landing on an
-    // already-scanned loop compares against it and wakes the poll, where
-    // the previous iteration's (usually already passed) deadline would
-    // let it sleep a full kMaxPollMs.
-    const Time now = NowMs();
-    Time next_deadline = now + kMaxPollMs;
-    io_deadline_.store(next_deadline, std::memory_order_release);
-    for (auto& l : loops_) {
-      bool fired = false;
-      {
-        util::MutexLock lock(&l->mu_);
-        while (!l->timers_.empty() && l->timers_.begin()->first.first <= now) {
-          auto it = l->timers_.begin();
-          l->timer_deadline_.erase(it->first.second);
-          l->posted_.push_back(std::move(it->second));
-          l->timers_.erase(it);
-          fired = true;
-        }
-        if (!l->timers_.empty()) {
-          next_deadline =
-              std::min(next_deadline, l->timers_.begin()->first.first);
-        }
-      }
-      if (fired) EnqueueReady(l.get());
+void SocketTransport::RunNode(NodeRuntime& n, Time now) {
+  EventLoop& l = *n.loop_;
+  {
+    util::MutexLock lock(&n.mu_);
+    // Posted closures first, then due timers in deadline order: timer
+    // firings and failed-send notifications precede newly-arrived
+    // messages, roughly matching the sim's schedule-order semantics.
+    for (auto& fn : n.posted_) l.closures.push_back(std::move(fn));
+    n.posted_.clear();
+    while (!n.timers_.empty() && n.timers_.begin()->first.first <= now) {
+      auto it = n.timers_.begin();
+      n.timer_deadline_.erase(it->first.second);
+      l.closures.push_back(std::move(it->second));
+      n.timers_.erase(it);
     }
-    io_deadline_.store(next_deadline, std::memory_order_release);
+    const size_t take = std::min(n.inbox_.size(), kDrainBatch);
+    for (size_t i = 0; i < take; ++i) {
+      l.messages.push_back(std::move(n.inbox_.front()));
+      n.inbox_.pop_front();
+    }
+  }
+  for (auto& fn : l.closures) fn();
+  l.closures.clear();
+  for (auto& m : l.messages) {
+    if (n.sink_ != nullptr) n.sink_->Deliver(std::move(m));
+  }
+  l.messages.clear();
+}
 
-    fds.clear();
-    eps.clear();
-    fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-    eps.push_back(nullptr);
-    for (auto& row : ep_) {
-      for (auto& ep : row) {
-        if (!ep || ep->fd < 0) continue;
-        if (ep->broken.load(std::memory_order_acquire)) continue;
-        short events = 0;
-        if (!ep->read_paused.load(std::memory_order_acquire)) {
-          events = POLLIN;
-        }
+void SocketTransport::ResyncInterest(EventLoop& loop) {
+  for (NodeRuntime* n : loop.nodes) {
+    for (auto& ep : ep_[n->id_]) {
+      if (!ep || ep->fd < 0) continue;
+      uint32_t want = 0;
+      if (!ep->broken.load(std::memory_order_acquire)) {
+        if (!ep->read_paused.load(std::memory_order_acquire)) want |= EPOLLIN;
         if (ep->want_pollout.load(std::memory_order_acquire)) {
-          events = static_cast<short>(events | POLLOUT);
-        }
-        if (events == 0) continue;
-        fds.push_back(pollfd{ep->fd, events, 0});
-        eps.push_back(ep.get());
-      }
-    }
-
-    int timeout_ms = static_cast<int>(next_deadline - NowMs()) + 1;
-    timeout_ms = std::max(0, std::min(timeout_ms, kMaxPollMs));
-    int rc = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (rc < 0 && errno != EINTR) return;
-    if (rc <= 0) continue;
-
-    if (fds[0].revents & POLLIN) {
-      char buf[256];
-      while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-    for (size_t i = 1; i < fds.size(); ++i) {
-      Endpoint& ep = *eps[i];
-      if (fds[i].revents & POLLOUT) {
-        // Drain the blocked outbound queue from the I/O thread — the
-        // slow-peer wait lives here, never on a worker thread. Flush
-        // acquires ep.out_mu itself and checks `broken` on entry.
-        switch (Flush(ep)) {
-          case FlushResult::kDrained:
-            ep.want_pollout.store(false, std::memory_order_release);
-            break;
-          case FlushResult::kBlocked:
-            break;  // Stay armed.
-          case FlushResult::kError:
-            break;  // Torn down inside the flush.
+          want |= EPOLLOUT;
         }
       }
-      if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      if (ep.read_paused.load(std::memory_order_acquire)) continue;
-      bool eof = false;
-      uint8_t buf[64 * 1024];
-      for (;;) {
-        ssize_t n = ::recv(ep.fd, buf, sizeof(buf), 0);
-        if (n > 0) {
-          ep.rbuf.insert(ep.rbuf.end(), buf, buf + n);
-          continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        if (n < 0 && errno == EINTR) continue;
-        eof = true;  // Peer closed or connection error.
-        break;
-      }
-      ConsumeFrames(ep);
-      if (eof && !ep.broken.load(std::memory_order_acquire)) {
-        // The connection died under us (peer teardown or a mid-frame
-        // kill). Fail our queued sends; a half-received frame in rbuf
-        // is discarded with the connection, never misread.
-        ep.rbuf.clear();
-        Teardown(ep);
-      }
+      if (want == ep->armed) continue;
+      epoll_event ev{};
+      ev.events = want;
+      ev.data.ptr = ep.get();
+      const int op = ep->armed == 0 ? EPOLL_CTL_ADD
+                     : want == 0    ? EPOLL_CTL_DEL
+                                    : EPOLL_CTL_MOD;
+      ::epoll_ctl(loop.epfd, op, ep->fd, &ev);
+      ep->armed = want;
     }
   }
 }
 
-void SocketTransport::WorkerThread() {
-  for (;;) {
-    uint32_t node;
-    {
-      util::MutexLock lock(&ready_mu_);
-      // Manual predicate loop (not a wait-with-lambda): thread-safety
-      // analysis does not see through lambda captures, and the explicit
-      // form is what the spurious-wakeup tidy check expects anyway.
-      while (!stopping_ && ready_.empty()) ready_cv_.Wait(lock);
-      if (stopping_) return;
-      node = ready_.front();
-      ready_.pop_front();
-    }
-    NodeLoop* l = loop(node);
+void SocketTransport::Run(EventLoop& loop) {
+  EventLoop::current = &loop;
+  std::array<epoll_event, kMaxEvents> events{};
+  while (!loop.stopping.load(std::memory_order_acquire)) {
+    // Work: every node's due timers, posts, and self-sends. The stored
+    // deadline is kAwake here, so posts from other threads cost nothing.
+    const Time now = NowMs();
+    for (NodeRuntime* n : loop.nodes) RunNode(*n, now);
 
-    std::deque<std::function<void()>> closures;
-    std::deque<net::Message> messages;
-    {
-      util::MutexLock lock(&l->mu_);
-      closures.swap(l->posted_);
-      size_t take = std::min(l->inbox_.size(), kDrainBatch);
-      for (size_t i = 0; i < take; ++i) {
-        messages.push_back(std::move(l->inbox_.front()));
-        l->inbox_.pop_front();
+    // Scan for the next deadline. The upper bound goes out before the
+    // scan: work landing on an already-scanned node compares against it
+    // and wakes the wait below, where a stale deadline would let the
+    // loop sleep a full kMaxPollMs.
+    const Time scan_now = NowMs();
+    Time next = scan_now + kMaxPollMs;
+    loop.deadline.store(next, std::memory_order_release);
+    bool pending = false;
+    for (NodeRuntime* n : loop.nodes) {
+      util::MutexLock lock(&n->mu_);
+      if (!n->posted_.empty() || !n->inbox_.empty()) pending = true;
+      if (!n->timers_.empty()) {
+        next = std::min(next, n->timers_.begin()->first.first);
       }
     }
-
-    // Posted closures first: timer firings and failed-send notifications
-    // precede newly-arrived messages, roughly matching the sim's
-    // schedule-order semantics.
-    for (auto& fn : closures) fn();
-    for (auto& m : messages) {
-      if (l->sink_ != nullptr) l->sink_->Deliver(std::move(m));
+    pending = pending || next <= scan_now;
+    loop.deadline.store(pending ? kAwake : next, std::memory_order_release);
+    if (loop.resync.exchange(false, std::memory_order_acq_rel)) {
+      ResyncInterest(loop);
     }
 
-    bool more = false;
-    {
-      util::MutexLock lock(&l->mu_);
-      if (l->inbox_.empty() && l->posted_.empty()) {
-        l->queued_ = false;
-      } else {
-        more = true;  // Keep queued_; re-enter the ready queue.
-      }
+    int timeout_ms = 0;
+    if (!pending) {
+      timeout_ms = static_cast<int>(std::ceil(next - NowMs()));
+      timeout_ms = std::clamp(timeout_ms, 0, kMaxPollMs);
     }
-    if (more) {
-      {
-        util::MutexLock lock(&ready_mu_);
-        ready_.push_back(l->id_);
+    const int rc = ::epoll_wait(loop.epfd, events.data(), kMaxEvents,
+                                timeout_ms);
+    loop.deadline.store(kAwake, std::memory_order_release);
+    if (rc < 0 && errno != EINTR) return;
+    for (int i = 0; i < rc; ++i) {
+      if (events[i].data.ptr == nullptr) {
+        uint64_t count = 0;
+        [[maybe_unused]] ssize_t r = ::read(loop.efd, &count, sizeof(count));
+        continue;
       }
-      ready_cv_.NotifyOne();
+      Endpoint& ep = *static_cast<Endpoint*>(events[i].data.ptr);
+      if (ep.broken.load(std::memory_order_acquire)) {
+        // Torn down since the last resync: drop it before sleeping.
+        loop.resync.store(true, std::memory_order_relaxed);
+        continue;
+      }
+      // Drain the blocked outbound queue on the owner loop — the
+      // slow-peer wait lives here, never on a sender. An error or hangup
+      // also runs the flush: with reads paused, its failing write is
+      // what tears the dead connection down.
+      if (events[i].events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) Flush(ep);
+      if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
+        ReadEndpoint(loop, ep);
+      }
     }
   }
 }
@@ -898,7 +895,7 @@ void SocketTransport::PauseReadsForTest(NodeId src, NodeId dst, bool paused) {
     return;
   }
   ep_[dst][src]->read_paused.store(paused, std::memory_order_release);
-  WakeIo();  // Rebuild the poll set either way.
+  RequestResync(dst);
 }
 
 void SocketTransport::SetWriteCapForTest(size_t bytes) {

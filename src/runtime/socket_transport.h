@@ -6,9 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "net/message.h"
@@ -37,8 +35,8 @@ struct WireCodec {
 
 struct SocketTransportOptions {
   uint32_t num_nodes = 0;
-  /// Worker threads draining node mailboxes. 0 picks a default from the
-  /// node count and hardware concurrency (at least 2, so real thread
+  /// Event-loop threads. 0 picks a default from the node count and the
+  /// CPUs this process may run on (at least 2, so real thread
   /// interleavings happen even on tiny machines).
   uint32_t num_workers = 0;
   WireCodec codec;
@@ -50,7 +48,7 @@ struct SocketTransportOptions {
   /// Bounded per-endpoint outbound queue. A send that would exceed
   /// either bound fails immediately via on_failed and counts as a
   /// send_queue_overflow — slow-peer backpressure surfaces to the
-  /// sender instead of wedging a worker thread.
+  /// sender instead of wedging the sending thread.
   size_t max_queue_frames = 4096;
   size_t max_queue_bytes = 8u << 20;
   /// Recycle frame-encode buffers through a free-list pool (see
@@ -59,39 +57,38 @@ struct SocketTransportOptions {
 };
 
 /// The real-threads backend of the transport/runtime seam: a full TCP
-/// mesh over loopback carrying length-prefixed frames, one I/O thread,
-/// and a worker pool draining per-node mailboxes.
+/// mesh over loopback carrying length-prefixed frames, driven by K
+/// run-to-completion event-loop threads.
 ///
 /// Threading model (see DESIGN.md section 11):
-///  - The I/O thread owns every socket's read side: poll() over the mesh
-///    plus a self-pipe, framing, decode, and routing into the
-///    destination node's mailbox. Its poll timeout doubles as the timer
-///    wheel — due timers are moved into their node's mailbox as posted
-///    closures. It also owns blocked write sides: an endpoint whose
-///    queue could not drain re-arms POLLOUT and the I/O thread finishes
-///    the flush when the peer catches up.
-///  - Workers pop ready nodes from a shared queue. A node is drained by
-///    at most one worker at a time (a `queued` flag arbitrates), so
-///    protocol code stays effectively single-threaded per node — the
-///    same actor model the simulator provides, minus determinism.
-///  - Sends encode into a pooled buffer, append to the destination
-///    endpoint's bounded outbound queue, and opportunistically flush
-///    inline with scatter-gather writev (multiple frames per syscall).
-///    A send never blocks: if the socket would block, the queued bytes
-///    wait for the I/O thread's POLLOUT; if the queue is full, the send
-///    fails fast via on_failed.
+///  - Loop `n % K` owns node n: its timers, posted closures, self-send
+///    inbox, and both sides of every endpoint the node holds. Each loop
+///    waits in epoll over its own endpoints plus an eventfd. A readable
+///    endpoint goes recv -> decode -> sink->Deliver on that one thread,
+///    so protocol code is single-threaded per node — the actor model the
+///    simulator provides, minus determinism — with no hand-off between a
+///    reader thread and a handler thread.
+///  - Sends encode into a pooled buffer, append to the endpoint's
+///    bounded outbound queue, and flush inline with scatter-gather
+///    writev (multiple frames per syscall). A send never blocks: if the
+///    socket would block, the owning loop finishes the drain on EPOLLOUT;
+///    if the queue is full, the send fails fast via on_failed.
+///  - A post or timer from another thread wakes the owner loop through
+///    its eventfd only when the loop may be asleep past the deadline; a
+///    post from the loop's own thread never costs a syscall.
 ///
 /// Each node gets a private Runtime (monotonic wall clock, thread-safe
-/// timers, its own Observability — counters are not atomic, and mailbox
-/// hand-offs give the per-node happens-before edges). All interaction
-/// with a node from outside must be posted onto its runtime.
+/// timers, its own Observability — counters are not atomic, and only the
+/// owning loop touches them). All interaction with a node from outside
+/// must be posted onto its runtime.
 ///
 /// Connection teardown: stream corruption (oversized length prefix,
-/// undecodable frame), a write error, or peer EOF marks the connection
-/// broken — the socket is shut down, queued sends fail via on_failed,
-/// and later sends to that peer fail fast. A desynchronized TCP stream
-/// is never resynchronized by guesswork; the RPC layer's timeouts treat
-/// the torn link like a partition.
+/// undecodable frame, or a frame whose src/dst does not match the
+/// connection it arrived on), a write error, or peer EOF marks the
+/// connection broken — the socket is shut down, queued sends fail via
+/// on_failed, and later sends to that peer fail fast. A desynchronized
+/// TCP stream is never resynchronized by guesswork; the RPC layer's
+/// timeouts treat the torn link like a partition.
 ///
 /// Fail-stop administration: SetNodeUp(node, false) makes the node drop
 /// inbound traffic (via the sink's IsUp guard, exactly like the sim
@@ -105,8 +102,8 @@ class SocketTransport final : public Transport {
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
-  /// Binds loopback listeners, dials the full mesh, and starts the I/O
-  /// and worker threads. Register every sink before sending traffic.
+  /// Binds loopback listeners, dials the full mesh, and starts the
+  /// event-loop threads. Register every sink before sending traffic.
   [[nodiscard]] Status Start();
 
   /// Clean shutdown: drains nothing, joins every thread, closes every
@@ -135,13 +132,19 @@ class SocketTransport final : public Transport {
 
   [[nodiscard]] const util::BufferPool& buffer_pool() const { return pool_; }
 
+  /// Event-loop threads this transport runs (num_workers, or the default
+  /// resolved from the node count and the CPUs this process may use).
+  [[nodiscard]] uint32_t num_loops() const {
+    return static_cast<uint32_t>(loops_.size());
+  }
+
   // --- fault-injection hooks (tests only) -------------------------------
 
   /// Writes raw bytes onto the src -> dst socket, bypassing framing —
   /// the regression hook for stream-corruption handling.
   [[nodiscard]] Status InjectRawBytesForTest(NodeId src, NodeId dst,
                                              const std::vector<uint8_t>& raw);
-  /// Makes the I/O thread stop (or resume) reading what `src` sends to
+  /// Makes `dst`'s loop stop (or resume) reading what `src` sends to
   /// `dst`, simulating a slow reader: the sender's kernel buffer fills,
   /// then its outbound queue, then sends start failing fast.
   void PauseReadsForTest(NodeId src, NodeId dst, bool paused);
@@ -152,7 +155,8 @@ class SocketTransport final : public Transport {
   void BreakConnectionForTest(NodeId a, NodeId b);
 
  private:
-  class NodeLoop;
+  class NodeRuntime;
+  class EventLoop;
 
   /// One queued outbound frame: `bytes` is the complete wire frame
   /// (4-byte LE length prefix + payload) in a pooled buffer.
@@ -166,12 +170,15 @@ class SocketTransport final : public Transport {
     int fd = -1;
     NodeId owner = kInvalidNode;  ///< Local node that writes through here.
     NodeId peer = kInvalidNode;   ///< Remote node (inbound frames' sender).
-    std::vector<uint8_t> rbuf;    ///< I/O-thread-only read buffer.
+    std::vector<uint8_t> rbuf;    ///< Owner-loop-only read buffer.
+    /// Owner-loop-only: the epoll events registered for `fd` (0 = not in
+    /// the loop's epoll set).
+    uint32_t armed = 0;
 
     /// Torn down (corrupt stream / write error / EOF). Sends fail fast;
-    /// the I/O thread drops the fd from its poll set.
+    /// the owner loop drops the fd from its epoll set.
     std::atomic<bool> broken{false};
-    /// The I/O thread should poll POLLOUT and drain `outq`.
+    /// The owner loop should wait for EPOLLOUT and drain `outq`.
     std::atomic<bool> want_pollout{false};
     std::atomic<bool> read_paused{false};  ///< Test hook.
 
@@ -188,30 +195,25 @@ class SocketTransport final : public Transport {
     bool flushing DCP_GUARDED_BY(out_mu) = false;
   };
 
-  enum class FlushResult {
-    kDrained,     ///< Queue empty (or another thread is flushing it).
-    kBlocked,     ///< Socket full; remainder waits for POLLOUT.
-    kError,       ///< Write error; the connection was torn down.
-  };
-
   Time NowMs() const;
-  NodeLoop* loop(NodeId node) const;
-  /// Enqueues a decoded message into `dst`'s mailbox (any thread).
+  NodeRuntime* node(NodeId id) const;
+  /// Enqueues a self-sent message into its node's inbox (any thread).
   void DeliverLocal(net::Message msg);
-  /// Batch DeliverLocal: one mailbox lock + wakeup per destination run.
-  void DeliverBatch(std::vector<net::Message> batch);
-  /// Enqueues a closure onto `node`'s mailbox (any thread).
+  /// Enqueues a closure onto `node`'s loop (any thread).
   void PostClosure(NodeId node, std::function<void()> fn);
-  void EnqueueReady(NodeLoop* l);
-  void WakeIo();
+  /// Has `owner`'s loop bring its epoll interest in line with its
+  /// endpoints' want_pollout / read_paused / broken flags before it next
+  /// sleeps (any thread).
+  void RequestResync(NodeId owner);
   /// Drains `ep.outq` with scatter-gather writev until empty or
-  /// EWOULDBLOCK. Acquires `ep.out_mu` itself and drops it across each
-  /// syscall (the single-flusher drop/reacquire protocol — DESIGN.md
-  /// section 13); callers must NOT hold it. At most one flusher runs per
-  /// endpoint; a caller that finds a flush in progress returns
-  /// immediately (the active flusher picks its frames up). Handles write
-  /// errors internally (teardown).
-  FlushResult Flush(Endpoint& ep) DCP_EXCLUDES(ep.out_mu);
+  /// EWOULDBLOCK, and sets `ep.want_pollout` to whether a remainder is
+  /// left for the owner loop's EPOLLOUT. Acquires `ep.out_mu` itself and
+  /// drops it across each syscall (the single-flusher drop/reacquire
+  /// protocol — DESIGN.md section 13); callers must NOT hold it. At most
+  /// one flusher runs per endpoint; a caller that finds a flush in
+  /// progress returns immediately (the active flusher picks its frames
+  /// up). Handles write errors internally (teardown).
+  void Flush(Endpoint& ep) DCP_EXCLUDES(ep.out_mu);
   /// Fails every queued send and empties the queue.
   void FailQueueLocked(Endpoint& ep) DCP_REQUIRES(ep.out_mu);
   /// Marks the connection broken, shuts the socket down, and fails every
@@ -219,49 +221,46 @@ class SocketTransport final : public Transport {
   /// Idempotent.
   void TeardownLocked(Endpoint& ep) DCP_REQUIRES(ep.out_mu);
   void Teardown(Endpoint& ep) DCP_EXCLUDES(ep.out_mu);
-  void IoThread();
-  void WorkerThread();
-  /// Drains `ep.rbuf` into complete frames; decodes and routes them.
-  /// Corruption tears the connection down.
+  /// The body of one event-loop thread.
+  void Run(EventLoop& loop);
+  /// Runs one node's due timers, posted closures, and up to kDrainBatch
+  /// self-sent messages (owner loop only).
+  void RunNode(NodeRuntime& n, Time now);
+  /// Registers, re-arms, or removes each of the loop's endpoints in its
+  /// epoll set to match the endpoint's flags (owner loop only).
+  void ResyncInterest(EventLoop& loop);
+  /// Reads what `ep`'s peer sent (a bounded amount per pass) and delivers
+  /// every complete frame inline (owner loop only).
+  void ReadEndpoint(EventLoop& loop, Endpoint& ep);
+  /// Drains `ep.rbuf` into complete frames; decodes and delivers them to
+  /// `ep.owner`. Corruption tears the connection down.
   void ConsumeFrames(Endpoint& ep);
 
   SocketTransportOptions options_;
-  std::vector<std::unique_ptr<NodeLoop>> loops_;
+  std::vector<std::unique_ptr<NodeRuntime>> nodes_;
+  std::vector<std::unique_ptr<EventLoop>> loops_;
 
   // ep_[i][j]: the socket endpoint node i writes to reach node j
-  // (i != j). Both directions of a pair share one TCP connection; each
-  // side holds its own endpoint fd. All endpoint read sides are polled
-  // by the I/O thread.
+  // (i != j), and reads what j sends to i. Both directions of a pair
+  // share one TCP connection; each side holds its own endpoint fd, owned
+  // by its node's loop.
   std::vector<std::vector<std::unique_ptr<Endpoint>>> ep_;
   std::vector<int> listen_fds_;
-  int wake_pipe_[2] = {-1, -1};
 
   util::BufferPool pool_;
 
   SendTap send_tap_;  ///< Install before Start; may run on any thread.
 
-  util::Mutex ready_mu_;
-  util::CondVar ready_cv_;
-  std::deque<uint32_t> ready_ DCP_GUARDED_BY(ready_mu_);
-  bool stopping_ DCP_GUARDED_BY(ready_mu_) = false;
-
-  std::thread io_thread_;
-  std::vector<std::thread> workers_;
   std::atomic<bool> started_{false};
 
-  /// The deadline the I/O thread is currently sleeping toward (while it
-  /// scans the timers: an upper bound on it); Schedule only wakes it for
-  /// earlier deadlines.
-  std::atomic<double> io_deadline_{0};
-
-  // Transport counters: written by the I/O thread, workers, and sender
-  // threads concurrently; read by bench/metrics threads at any time.
+  // Transport counters: written by the loops and sender threads
+  // concurrently; read by bench/metrics threads at any time.
   // They are lock-free relaxed atomics on purpose — each is an
   // independent monotonic event count with no cross-field invariant, so
   // a relaxed snapshot is always some valid point in each counter's
   // history (and exact once writers quiesce, which is when counters()
   // is asserted on). Everything that does need cross-field consistency
-  // lives under a mutex above and is DCP_GUARDED_BY-annotated.
+  // lives under a mutex and is DCP_GUARDED_BY-annotated.
   std::atomic<uint64_t> frames_sent_{0};
   std::atomic<uint64_t> frames_received_{0};
   std::atomic<uint64_t> frames_dropped_{0};

@@ -62,8 +62,9 @@ using SendTap = std::function<void(const net::Message&)>;
 ///  - `net::Network` (the sim transport): deterministic virtual-time
 ///    delivery with the paper's fail-stop semantics plus opt-in message
 ///    faults. `runtime(n)` returns the shared simulator for every node.
-///  - `rt::SocketTransport`: loopback TCP, one I/O thread + a worker
-///    pool, per-node mailboxes. `runtime(n)` returns node n's private
+///  - `rt::SocketTransport`: loopback TCP driven by run-to-completion
+///    event-loop threads, each owning a subset of the nodes.
+///    `runtime(n)` returns node n's private
 ///    runtime; all interaction with a node must happen on it.
 class Transport {
  public:

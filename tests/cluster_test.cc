@@ -89,7 +89,7 @@ TEST(Cluster, EpochInvariantCheckerCatchesLemmaOneViolation) {
 
 TEST(Cluster, ReplicaConsistencyCheckerCatchesDivergence) {
   Cluster cluster(Options());
-  ASSERT_TRUE(cluster.WriteSyncRetry(0, Update::Partial(0, {9})).ok());
+  ASSERT_TRUE(cluster.WriteSyncRetry(0, 0, Update::Partial(0, {9}), 10).ok());
   cluster.RunFor(2000);
   // Corrupt one replica's bytes at the same version.
   Version maxv = 0;

@@ -90,8 +90,8 @@ TEST(EpochDaemon, AutonomousOperationUnderFailures) {
     cluster.RunFor(1500);  // Daemon reacts.
     for (int i = 0; i < 3; ++i) {
       NodeId coord = static_cast<NodeId>((victim + 1 + i) % 9);
-      auto w = cluster.WriteSyncRetry(coord,
-                                      Update::Partial(0, {uint8_t(round)}));
+      auto w = cluster.WriteSyncRetry(coord, 0,
+                                      Update::Partial(0, {uint8_t(round)}), 10);
       if (w.ok()) ++committed;
     }
     cluster.Recover(victim);

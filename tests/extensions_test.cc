@@ -55,7 +55,7 @@ TEST(VulnerabilityWindow, SingleGoodReplicaFailureBlocksWrites) {
   SetupSingleGoodReplica(cluster, 4);
 
   // While node 4 lives, writes succeed (it is the one good replica).
-  auto w0 = cluster.WriteSyncRetry(0, Update::Partial(0, {'W'}));
+  auto w0 = cluster.WriteSyncRetry(0, 0, Update::Partial(0, {'W'}), 10);
   ASSERT_TRUE(w0.ok()) << w0.status().ToString();
   EXPECT_EQ(w0->version, 6u);
 
@@ -77,7 +77,7 @@ TEST(VulnerabilityWindow, SingleGoodReplicaFailureBlocksWrites) {
 
   // Only the good replica's recovery reopens the object.
   cluster2.Recover(4);
-  auto w2 = cluster2.WriteSyncRetry(0, Update::Partial(0, {'Z'}));
+  auto w2 = cluster2.WriteSyncRetry(0, 0, Update::Partial(0, {'Z'}), 10);
   EXPECT_TRUE(w2.ok()) << w2.status().ToString();
 }
 
@@ -89,7 +89,7 @@ TEST(VulnerabilityWindow, SafetyThresholdClosesTheWindow) {
   Cluster cluster(Options(/*safety_threshold=*/3));
   SetupSingleGoodReplica(cluster, 4);
 
-  auto w = cluster.WriteSyncRetry(0, Update::Partial(0, {'T'}));
+  auto w = cluster.WriteSyncRetry(0, 0, Update::Partial(0, {'T'}), 10);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
   uint32_t carriers = 0;
   for (uint32_t j = 0; j < 9; ++j) {
@@ -110,7 +110,7 @@ TEST(VulnerabilityWindow, SafetyThresholdClosesTheWindow) {
   bool ok = false;
   for (NodeId coord = 0; coord < 9 && !ok; ++coord) {
     if (!cluster.network().IsUp(coord)) continue;
-    ok = cluster.WriteSyncRetry(coord, Update::Partial(0, {'U'})).ok();
+    ok = cluster.WriteSyncRetry(coord, 0, Update::Partial(0, {'U'}), 10).ok();
   }
   EXPECT_TRUE(ok);
 }
@@ -119,8 +119,8 @@ TEST(VulnerabilityWindow, ThresholdMaintainedAcrossWriteStream) {
   Cluster cluster(Options(/*safety_threshold=*/3));
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(cluster
-                    .WriteSyncRetry(static_cast<NodeId>(i % 9),
-                                    Update::Partial(0, {uint8_t('a' + i)}))
+                    .WriteSyncRetry(static_cast<NodeId>(i % 9), 0,
+                                    Update::Partial(0, {uint8_t('a' + i)}), 10)
                     .ok());
     Version maxv = 0;
     for (uint32_t j = 0; j < 9; ++j) {
@@ -149,6 +149,30 @@ TEST(NoCurrentReplica, HeavyProcedureReportsStaleData) {
   EXPECT_TRUE(w.status().IsStaleData()) << w.status().ToString();
 }
 
+TEST(NoCurrentReplica, LockedCurrentReplicaIsAConflictNotStaleData) {
+  // The only current replica is alive but locked by another operation:
+  // the heavy procedure holds a write quorum of stale replicas, yet the
+  // current one was merely busy. That is a transient conflict the client
+  // retries, not the appendix's "no current replica" abort.
+  Cluster cluster(Options());
+  SetupSingleGoodReplica(cluster, 4);
+  const storage::LockOwner other{8, 999};
+  auto req = std::make_shared<LockRequest>();
+  req->owner = other;
+  req->mode = LockMode::kExclusive;
+  req->op_started = cluster.simulator().Now();
+  ASSERT_TRUE(cluster.node(4).HandleRequest(8, msg::kLock, req).ok());
+
+  auto w = cluster.WriteSync(7, 0, Update::Partial(0, {'Q'}));
+  ASSERT_FALSE(w.ok());
+  EXPECT_TRUE(w.status().IsConflict()) << w.status().ToString();
+
+  // Once the other operation lets go, the retried write commits.
+  cluster.node(4).store().Unlock(other);
+  auto retried = cluster.WriteSyncRetry(7, 0, Update::Partial(0, {'Q'}), 10);
+  EXPECT_TRUE(retried.ok()) << retried.status().ToString();
+}
+
 TEST(Propagation, SnapshotFallbackAfterLogTruncation) {
   ClusterOptions opts;
   opts.num_nodes = 9;
@@ -163,8 +187,8 @@ TEST(Propagation, SnapshotFallbackAfterLogTruncation) {
   ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(cluster
-                    .WriteSyncRetry(static_cast<NodeId>(i % 8),
-                                    Update::Partial(0, {uint8_t(i)}))
+                    .WriteSyncRetry(static_cast<NodeId>(i % 8), 0,
+                                    Update::Partial(0, {uint8_t(i)}), 10)
                     .ok());
   }
   cluster.RunFor(2000);
@@ -192,7 +216,7 @@ TEST(Propagation, DesiredVersionGuardsAgainstStaleSources) {
   opts.seed = 49;
   opts.initial_value = {0};
   Cluster cluster(opts);
-  ASSERT_TRUE(cluster.WriteSyncRetry(0, Update::Partial(0, {'a'})).ok());
+  ASSERT_TRUE(cluster.WriteSyncRetry(0, 0, Update::Partial(0, {'a'}), 10).ok());
   cluster.node(3).store().MarkStale(99);  // Wants version 99.
 
   auto offer = std::make_shared<PropagationOffer>();

@@ -143,7 +143,7 @@ TEST(WoundWait, WoundedWriterRetriesAndSucceeds) {
   }
   EXPECT_GE(committed, 1);
   // Whoever failed can retry and succeed now.
-  auto w = cluster.WriteSyncRetry(7, Update::Partial(0, {99}));
+  auto w = cluster.WriteSyncRetry(7, 0, Update::Partial(0, {99}), 10);
   EXPECT_TRUE(w.ok());
   EXPECT_TRUE(cluster.CheckHistory().ok());
 }

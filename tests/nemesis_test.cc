@@ -136,9 +136,10 @@ TEST(Nemesis, ClusterServesWritesAfterStopAndHeal) {
   ASSERT_TRUE(RunToQuiescence(cluster, 20000));
   cluster.ClearNetworkFaults();  // Idempotent with StopAndHeal.
 
-  auto w = cluster.WriteSyncRetry(0, protocol::Update::Partial(1, {'z'}), 20);
+  auto w =
+      cluster.WriteSyncRetry(0, 0, protocol::Update::Partial(1, {'z'}), 20);
   EXPECT_TRUE(w.ok()) << w.status().ToString();
-  auto r = cluster.ReadSyncRetry(4, 20);
+  auto r = cluster.ReadSyncRetry(4, 0, 20);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
 }
 

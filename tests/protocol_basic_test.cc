@@ -39,8 +39,8 @@ TEST(ProtocolBasic, SingleWriteAndRead) {
 TEST(ProtocolBasic, SequentialWritesIncrementVersions) {
   Cluster cluster(BasicOptions());
   for (int i = 1; i <= 10; ++i) {
-    auto w = cluster.WriteSyncRetry(static_cast<NodeId>(i % 9),
-                                    Update::Partial(0, {uint8_t(i)}));
+    auto w = cluster.WriteSyncRetry(static_cast<NodeId>(i % 9), 0,
+                                    Update::Partial(0, {uint8_t(i)}), 10);
     ASSERT_TRUE(w.ok()) << "write " << i << ": " << w.status().ToString();
     EXPECT_EQ(w->version, static_cast<Version>(i));
   }
@@ -72,9 +72,9 @@ TEST(ProtocolBasic, StaleReplicasCatchUpViaPropagation) {
   // that respond with an old version get marked stale and then caught up
   // asynchronously by the propagation protocol.
   for (int i = 0; i < 6; ++i) {
-    auto w = cluster.WriteSyncRetry(static_cast<NodeId>(i),
+    auto w = cluster.WriteSyncRetry(static_cast<NodeId>(i), 0,
                                     Update::Partial(static_cast<uint64_t>(i),
-                                                    {uint8_t('a' + i)}));
+                                                    {uint8_t('a' + i)}), 10);
     ASSERT_TRUE(w.ok()) << w.status().ToString();
   }
   // Let propagation drain.
@@ -93,10 +93,10 @@ TEST(ProtocolBasic, StaleReplicasCatchUpViaPropagation) {
 TEST(ProtocolBasic, ReadsSeeLatestCommittedWrite) {
   Cluster cluster(BasicOptions());
   for (int i = 0; i < 5; ++i) {
-    auto w = cluster.WriteSyncRetry(static_cast<NodeId>(2 * i % 9),
-                                    Update::Partial(0, {uint8_t(i)}));
+    auto w = cluster.WriteSyncRetry(static_cast<NodeId>(2 * i % 9), 0,
+                                    Update::Partial(0, {uint8_t(i)}), 10);
     ASSERT_TRUE(w.ok());
-    auto r = cluster.ReadSyncRetry(static_cast<NodeId>((2 * i + 5) % 9));
+    auto r = cluster.ReadSyncRetry(static_cast<NodeId>((2 * i + 5) % 9), 0, 10);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->version, w->version);
     EXPECT_EQ(r->data[0], uint8_t(i));

@@ -27,7 +27,8 @@ TEST(ProtocolFailure, WritesSurviveSingleFailureViaHeavyProcedure) {
   // back to HeavyProcedure and still succeed (8 of 9 up).
   for (int i = 0; i < 9; ++i) {
     NodeId coord = static_cast<NodeId>(i == 4 ? 0 : i);
-    auto w = cluster.WriteSyncRetry(coord, Update::Partial(0, {uint8_t(i)}));
+    auto w =
+        cluster.WriteSyncRetry(coord, 0, Update::Partial(0, {uint8_t(i)}), 10);
     ASSERT_TRUE(w.ok()) << "coord " << int(coord) << ": "
                         << w.status().ToString();
   }
@@ -57,7 +58,7 @@ TEST(ProtocolFailure, EpochChangeReadmitsRecoveredNode) {
   cluster.Crash(4);
   ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
   // Write while node 4 is out, so it misses data.
-  auto w = cluster.WriteSyncRetry(1, Update::Partial(0, Bytes("new")));
+  auto w = cluster.WriteSyncRetry(1, 0, Update::Partial(0, Bytes("new")), 10);
   ASSERT_TRUE(w.ok());
 
   cluster.Recover(4);
@@ -87,7 +88,8 @@ TEST(ProtocolFailure, GradualFailuresKeepDataAvailableWithThreeNodes) {
     cluster.Crash(victim);
     ASSERT_TRUE(cluster.CheckEpochSync(0).ok())
         << "epoch change failed after crashing " << int(victim);
-    auto w = cluster.WriteSyncRetry(0, Update::Partial(0, {uint8_t(victim)}));
+    auto w = cluster.WriteSyncRetry(0, 0, Update::Partial(0, {uint8_t(victim)}),
+                                    10);
     ASSERT_TRUE(w.ok()) << "write failed with "
                         << cluster.UpNodes().Size() << " nodes up: "
                         << w.status().ToString();
@@ -112,7 +114,7 @@ TEST(ProtocolFailure, StaticQuorumLossMakesObjectUnavailableUntilRepair) {
   cluster.Recover(3);
   cluster.Recover(6);
   ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
-  auto w2 = cluster.WriteSyncRetry(0, Update::Partial(0, {2}));
+  auto w2 = cluster.WriteSyncRetry(0, 0, Update::Partial(0, {2}), 10);
   EXPECT_TRUE(w2.ok()) << w2.status().ToString();
   EXPECT_TRUE(cluster.CheckHistory().ok());
 }
@@ -139,7 +141,7 @@ TEST(ProtocolFailure, PartitionAllowsAtMostOneSideToProceed) {
 
   cluster.Heal();
   ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
-  auto w = cluster.WriteSyncRetry(0, Update::Partial(0, {3}));
+  auto w = cluster.WriteSyncRetry(0, 0, Update::Partial(0, {3}), 10);
   EXPECT_TRUE(w.ok());
   EXPECT_TRUE(cluster.CheckHistory().ok());
 }
@@ -152,7 +154,7 @@ TEST(ProtocolFailure, PartitionWithQuorumSideProceeds) {
   cluster.Partition({quorum_side, rest});
 
   ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
-  auto w = cluster.WriteSyncRetry(0, Update::Partial(0, {9}));
+  auto w = cluster.WriteSyncRetry(0, 0, Update::Partial(0, {9}), 10);
   EXPECT_TRUE(w.ok()) << w.status().ToString();
 
   // The minority side can do nothing.
@@ -183,7 +185,7 @@ TEST(ProtocolFailure, CoordinatorCrashMidOperationIsSafe) {
   EXPECT_FALSE(fired);   // The dead coordinator never reports.
 
   // The object remains writable by others.
-  auto w = cluster.WriteSyncRetry(2, Update::Partial(0, {3}), 20);
+  auto w = cluster.WriteSyncRetry(2, 0, Update::Partial(0, {3}), 20);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
   cluster.RunFor(2000);
   EXPECT_TRUE(cluster.Quiescent());
@@ -198,7 +200,8 @@ TEST(ProtocolFailure, DynamicMajorityShrinkToTwoNodes) {
     cluster.Crash(victim);
     ASSERT_TRUE(cluster.CheckEpochSync(0).ok())
         << "epoch change failed after crashing " << int(victim);
-    auto w = cluster.WriteSyncRetry(0, Update::Partial(0, {uint8_t(victim)}));
+    auto w = cluster.WriteSyncRetry(0, 0, Update::Partial(0, {uint8_t(victim)}),
+                                    10);
     ASSERT_TRUE(w.ok()) << w.status().ToString();
   }
   EXPECT_EQ(cluster.UpNodes().Size(), 2u);
@@ -209,7 +212,7 @@ TEST(ProtocolFailure, RecoveredNodeWithOldEpochCannotServeAlone) {
   Cluster cluster(Options(9));
   cluster.Crash(8);
   ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
-  ASSERT_TRUE(cluster.WriteSyncRetry(0, Update::Partial(0, {7})).ok());
+  ASSERT_TRUE(cluster.WriteSyncRetry(0, 0, Update::Partial(0, {7}), 10).ok());
 
   // Partition the recovered node by itself: it holds epoch 0's full list
   // but cannot assemble a quorum alone, so it must fail.

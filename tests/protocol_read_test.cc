@@ -20,7 +20,7 @@ ClusterOptions Options(uint32_t n = 9) {
 
 TEST(ProtocolRead, ConcurrentReadsShareLocks) {
   Cluster cluster(Options());
-  ASSERT_TRUE(cluster.WriteSyncRetry(0, Update::Partial(1, {'1'})).ok());
+  ASSERT_TRUE(cluster.WriteSyncRetry(0, 0, Update::Partial(1, {'1'}), 10).ok());
   // Launch several reads at once; shared locks mean none may conflict.
   int done = 0, ok = 0;
   for (NodeId coord = 0; coord < 6; ++coord) {
@@ -61,17 +61,18 @@ TEST(ProtocolRead, HeavyReadAfterEpochDrift) {
   Cluster cluster(Options());
   cluster.Crash(4);
   ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
-  ASSERT_TRUE(cluster.WriteSyncRetry(0, Update::Partial(1, {'9'})).ok());
+  ASSERT_TRUE(cluster.WriteSyncRetry(0, 0, Update::Partial(1, {'9'}), 10).ok());
   // Node 8 still holds the epoch-0 list? No: it was a 2PC participant of
   // the epoch change. Simulate drift instead: crash 8 before the change.
   Cluster cluster2(Options());
   cluster2.Crash(8);
   ASSERT_TRUE(cluster2.CheckEpochSync(0).ok());
-  ASSERT_TRUE(cluster2.WriteSyncRetry(0, Update::Partial(1, {'7'})).ok());
+  ASSERT_TRUE(
+      cluster2.WriteSyncRetry(0, 0, Update::Partial(1, {'7'}), 10).ok());
   cluster2.Recover(8);
   // Node 8's epoch list still names all 9 nodes (epoch 0); a read from
   // it must still find the current data (via the responses' epoch list).
-  auto r = cluster2.ReadSyncRetry(8);
+  auto r = cluster2.ReadSyncRetry(8, 0, 10);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->data[1], '7');
 }
@@ -82,7 +83,7 @@ TEST(ProtocolRead, GridReadsSurviveFailuresThatBlockWrites) {
   // only need one representative per column and still succeed. This is
   // the read/write availability asymmetry of Section 5.
   Cluster cluster(Options());
-  ASSERT_TRUE(cluster.WriteSyncRetry(3, Update::Partial(1, {'z'})).ok());
+  ASSERT_TRUE(cluster.WriteSyncRetry(3, 0, Update::Partial(1, {'z'}), 10).ok());
   cluster.RunFor(2000);  // Drain propagation so survivors are current.
   // Kill the top row {0,1,2}: one member of each column {0,3,6}/{1,4,7}/
   // {2,5,8}. No epoch change runs, so writes must fail...
@@ -92,7 +93,7 @@ TEST(ProtocolRead, GridReadsSurviveFailuresThatBlockWrites) {
   auto w = cluster.WriteSync(3, Update::Partial(1, {'!'}));
   EXPECT_FALSE(w.ok());
   // ...but reads still work.
-  auto r = cluster.ReadSyncRetry(3);
+  auto r = cluster.ReadSyncRetry(3, 0, 10);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->data[1], 'z');
   EXPECT_TRUE(cluster.CheckHistory().ok());
@@ -118,11 +119,11 @@ TEST(ProtocolRead, ReadRefusesWhenOnlyStaleReplicasReachable) {
 
 TEST(ProtocolRead, FetchTargetRotatesAcrossGoodReplicas) {
   Cluster cluster(Options());
-  ASSERT_TRUE(cluster.WriteSyncRetry(0, Update::Total({'d'})).ok());
+  ASSERT_TRUE(cluster.WriteSyncRetry(0, 0, Update::Total({'d'}), 10).ok());
   cluster.RunFor(2000);
   cluster.network().ResetStats();
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(cluster.ReadSyncRetry(static_cast<NodeId>(i % 9)).ok());
+    ASSERT_TRUE(cluster.ReadSyncRetry(static_cast<NodeId>(i % 9), 0, 10).ok());
   }
   // Fetches should not all hit one node.
   uint32_t nodes_fetched_from = 0;

@@ -37,7 +37,7 @@ TEST(RetryPolicy, UnavailableIsTerminalByDefault) {
 
   // Even with many attempts allowed, the default policy returns the
   // kUnavailable verbatim from the first attempt — well before t=150.
-  auto w = cluster.WriteSyncRetry(0, Update::Partial(0, {1}), 50);
+  auto w = cluster.WriteSyncRetry(0, 0, Update::Partial(0, {1}), 50);
   ASSERT_FALSE(w.ok());
   EXPECT_TRUE(w.status().IsUnavailable()) << w.status().ToString();
   EXPECT_LT(cluster.simulator().Now(), 150.0);
@@ -49,7 +49,7 @@ TEST(RetryPolicy, RetryUnavailableRidesOutRecovery) {
   Cluster cluster(opts);
   CrashMajorityUntil(&cluster, 150.0);
 
-  auto w = cluster.WriteSyncRetry(0, Update::Partial(0, {1}), 50);
+  auto w = cluster.WriteSyncRetry(0, 0, Update::Partial(0, {1}), 50);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
   EXPECT_GE(cluster.simulator().Now(), 150.0);
 }
@@ -66,14 +66,14 @@ TEST(RetryPolicy, ReadRetryCoversBothStatuses) {
     for (NodeId v : {NodeId(0), NodeId(3), NodeId(6)}) cluster.Recover(v);
   });
 
-  auto r = cluster.ReadSyncRetry(1, 50);
+  auto r = cluster.ReadSyncRetry(1, 0, 50);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE(cluster.simulator().Now(), 120.0);
 
   // And the default policy still surfaces unavailability immediately.
   Cluster strict(BaseOptions(23));
   for (NodeId v : {NodeId(0), NodeId(3), NodeId(6)}) strict.Crash(v);
-  auto r2 = strict.ReadSyncRetry(1, 50);
+  auto r2 = strict.ReadSyncRetry(1, 0, 50);
   ASSERT_FALSE(r2.ok());
   EXPECT_TRUE(r2.status().IsUnavailable()) << r2.status().ToString();
 }

@@ -7,13 +7,20 @@
 // the TSan CI lane runs under -fsanitize=thread.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "harness/socket_cluster.h"
+#include "protocol/wire_codec.h"
 #include "storage/versioned_object.h"
 
 namespace dcp::harness {
@@ -52,13 +59,13 @@ TEST(SocketTransportTest, WritesReadsAndPartialWritesOverSockets) {
   ASSERT_TRUE(cluster.Start().ok());
 
   // Total write from node 0.
-  auto w1 = cluster.WriteSyncRetry(0, 0, Update::Total({1, 2, 3, 4}));
+  auto w1 = cluster.WriteSyncRetry(0, 0, Update::Total({1, 2, 3, 4}), 10);
   ASSERT_TRUE(w1.ok()) << w1.status().ToString();
   EXPECT_EQ(w1->version, 1u);
 
   // Partial write from a different coordinator: the paper's partial-write
   // support, over real sockets.
-  auto w2 = cluster.WriteSyncRetry(2, 0, Update::Partial(1, {9, 9}));
+  auto w2 = cluster.WriteSyncRetry(2, 0, Update::Partial(1, {9, 9}), 10);
   ASSERT_TRUE(w2.ok()) << w2.status().ToString();
   EXPECT_EQ(w2->version, 2u);
 
@@ -82,7 +89,7 @@ TEST(SocketTransportTest, EpochChangeExcludesAndReadmitsAFailedNode) {
   SocketCluster cluster(SmokeOptions());
   ASSERT_TRUE(cluster.Start().ok());
 
-  auto w1 = cluster.WriteSyncRetry(0, 0, Update::Total({7, 7}));
+  auto w1 = cluster.WriteSyncRetry(0, 0, Update::Total({7, 7}), 10);
   ASSERT_TRUE(w1.ok()) << w1.status().ToString();
 
   // Node 4 fail-stops; the epoch check shrinks the epoch to the
@@ -94,7 +101,7 @@ TEST(SocketTransportTest, EpochChangeExcludesAndReadmitsAFailedNode) {
             (std::vector<NodeId>{0, 1, 2, 3}));
 
   // The protocol keeps serving writes and reads without node 4.
-  auto w2 = cluster.WriteSyncRetry(1, 0, Update::Partial(1, {8}));
+  auto w2 = cluster.WriteSyncRetry(1, 0, Update::Partial(1, {8}), 10);
   ASSERT_TRUE(w2.ok()) << w2.status().ToString();
   auto r = cluster.ReadSync(3);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -161,7 +168,7 @@ TEST(SocketTransportTest, ShardedMultiObjectClusterOverSockets) {
   for (storage::ObjectId obj = 0; obj < o.num_objects; ++obj) {
     NodeId coord = table->placement(obj).ranking[0];
     auto w = cluster.WriteSyncRetry(
-        coord, obj, Update::Total({static_cast<uint8_t>(obj), 0xAB}));
+        coord, obj, Update::Total({static_cast<uint8_t>(obj), 0xAB}), 10);
     ASSERT_TRUE(w.ok()) << "object " << obj << ": " << w.status().ToString();
     EXPECT_EQ(w->version, 1u);
     // Read back through a different home replica.
@@ -212,7 +219,7 @@ TEST(SocketTransportTest, ShardedScopedEpochCheckShrinksOneLineage) {
   EXPECT_EQ(cluster.node(other).store(off4).epoch_number(), 0u);
 
   // Writes keep landing in the shrunken lineage.
-  auto w = cluster.WriteSyncRetry(initiator, on4, Update::Total({5, 5}));
+  auto w = cluster.WriteSyncRetry(initiator, on4, Update::Total({5, 5}), 10);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
 
   // Node 4 returns; a second scoped check readmits it.
@@ -257,6 +264,177 @@ TEST(SocketTransportTest, IdlePostsDoNotWaitOutThePollTimeout) {
   }
   EXPECT_EQ(slow, 0) << slow << " of " << kRounds
                      << " idle posts waited >= 50 ms for the I/O thread";
+}
+
+TEST(SocketTransportTest, DefaultLoopCountStaysWithinItsClamps) {
+  // The default is sized from the CPUs this process may run on, clamped
+  // to [2, 8] and to the node count; an explicit count is taken as is.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  const uint32_t cpus = static_cast<uint32_t>(CPU_COUNT(&set));
+  for (uint32_t nodes : {1u, 2u, 3u, 9u, 64u}) {
+    rt::SocketTransportOptions o;
+    o.num_nodes = nodes;
+    o.codec = protocol::MakeWireCodec();
+    rt::SocketTransport transport(o);
+    const uint32_t loops = transport.num_loops();
+    EXPECT_GE(loops, 2u) << nodes << " nodes";
+    EXPECT_LE(loops, 8u) << nodes << " nodes";
+    EXPECT_LE(loops, std::max(2u, std::min(nodes, cpus / 2)))
+        << nodes << " nodes, " << cpus << " usable CPUs";
+  }
+  rt::SocketTransportOptions o;
+  o.num_nodes = 9;
+  o.num_workers = 3;
+  o.codec = protocol::MakeWireCodec();
+  EXPECT_EQ(rt::SocketTransport(o).num_loops(), 3u);
+}
+
+/// Records, per node, which OS threads ran the node's callbacks and
+/// whether two of them ever overlapped.
+class ActorProbe {
+ public:
+  explicit ActorProbe(uint32_t nodes) : nodes_(nodes) {}
+
+  void Enter(NodeId n) {
+    if (nodes_[n].active.fetch_add(1) != 0) overlaps_.fetch_add(1);
+    std::lock_guard<std::mutex> lock(mu_);
+    nodes_[n].threads.insert(std::this_thread::get_id());
+    ++nodes_[n].calls;
+  }
+  void Exit(NodeId n) { nodes_[n].active.fetch_sub(1); }
+
+  /// Wraps `fn` so it runs inside a probe scope for node `n`.
+  std::function<void()> Probed(NodeId n, std::function<void()> fn) {
+    return [this, n, fn = std::move(fn)] {
+      Enter(n);
+      fn();
+      Exit(n);
+    };
+  }
+
+  int overlaps() const { return overlaps_.load(); }
+  std::set<std::thread::id> threads(NodeId n) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return nodes_[n].threads;
+  }
+  uint64_t calls(NodeId n) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return nodes_[n].calls;
+  }
+
+ private:
+  struct PerNode {
+    std::atomic<int> active{0};
+    std::set<std::thread::id> threads;
+    uint64_t calls = 0;
+  };
+  mutable std::mutex mu_;
+  std::vector<PerNode> nodes_;
+  std::atomic<int> overlaps_{0};
+};
+
+/// Delivers to the node's RPC runtime inside a probe scope.
+class ProbedSink : public net::MessageSink {
+ public:
+  ProbedSink(ActorProbe* probe, NodeId node, net::MessageSink* inner)
+      : probe_(probe), node_(node), inner_(inner) {}
+  void Deliver(net::Message msg) override {
+    probe_->Enter(node_);
+    inner_->Deliver(std::move(msg));
+    probe_->Exit(node_);
+  }
+
+ private:
+  ActorProbe* probe_;
+  NodeId node_;
+  net::MessageSink* inner_;
+};
+
+TEST(SocketTransportTest, EachNodeRunsOnOneThreadWithoutOverlap) {
+  // The actor contract the run-to-completion loops provide: every
+  // Deliver, posted closure and timer callback of a node runs on one OS
+  // thread for the transport's lifetime (the loop that owns the node),
+  // and no two of them overlap — under protocol traffic from several
+  // client threads plus posts and timers from foreign threads and from
+  // other nodes' callbacks.
+  SocketClusterOptions o = SmokeOptions();
+  o.num_nodes = 7;
+  o.num_objects = 4;
+  o.num_workers = 3;
+  SocketCluster cluster(o);
+  rt::SocketTransport& transport = cluster.transport();
+  const uint32_t n = cluster.num_nodes();
+  ActorProbe probe(n);
+  std::vector<std::unique_ptr<ProbedSink>> sinks;
+  for (NodeId i = 0; i < n; ++i) {
+    sinks.push_back(
+        std::make_unique<ProbedSink>(&probe, i, &cluster.node(i).rpc()));
+    transport.Register(i, sinks.back().get());
+  }
+  ASSERT_TRUE(cluster.Start().ok());
+
+  std::atomic<bool> done{false};
+  constexpr int kClients = 3;
+  constexpr int kOpsPerClient = 60;
+  std::atomic<int> committed{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      for (int i = 0; i < kOpsPerClient / 2; ++i) {
+        const NodeId coord = static_cast<NodeId>((c + 3 * i) % n);
+        const storage::ObjectId obj = static_cast<storage::ObjectId>(c);
+        auto w = cluster.WriteSyncRetry(
+            coord, obj, Update::Partial(0, {static_cast<uint8_t>(i)}), 50);
+        if (w.ok()) committed.fetch_add(1);
+        if (cluster.ReadSyncRetry((coord + 1) % n, obj, 50).ok()) {
+          committed.fetch_add(1);
+        }
+      }
+    });
+  }
+  // Foreign posts and timers; each one, from its node's thread, also
+  // posts to the next node (a cross-node post between loops or within
+  // one loop).
+  threads.emplace_back([&] {
+    for (uint32_t i = 0; !done.load(); ++i) {
+      const NodeId target = i % n;
+      const NodeId next = (target + 1) % n;
+      rt::Runtime* next_rt = transport.runtime(next);
+      auto chained = probe.Probed(target, [&probe, next, next_rt] {
+        next_rt->Schedule(0, probe.Probed(next, [] {}));
+        next_rt->Schedule(0.2, probe.Probed(next, [] {}));
+      });
+      transport.runtime(target)->Schedule((i % 3) * 0.1, chained);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  for (size_t t = 0; t + 1 < threads.size(); ++t) threads[t].join();
+  done.store(true);
+  threads.back().join();
+  // Let the last timers fire before the loops stop.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cluster.Stop();
+
+  // Traffic flowed; an op that outlived its 100 ms RPC timeout on a
+  // stalled host may fail, and the contract below must hold either way.
+  EXPECT_GT(committed.load(), kClients * kOpsPerClient / 2);
+  EXPECT_EQ(probe.overlaps(), 0);
+  const uint32_t k = transport.num_loops();
+  ASSERT_EQ(k, 3u);
+  std::set<std::thread::id> all;
+  for (NodeId i = 0; i < n; ++i) {
+    EXPECT_GT(probe.calls(i), 0u) << "node " << i;
+    const std::set<std::thread::id> mine = probe.threads(i);
+    EXPECT_EQ(mine.size(), 1u) << "node " << i << " ran on " << mine.size()
+                               << " threads";
+    // Loop i % k owns node i.
+    EXPECT_EQ(mine, probe.threads(i % k)) << "node " << i;
+    all.insert(mine.begin(), mine.end());
+  }
+  EXPECT_EQ(all.size(), k);
+  StopAndCheckInvariants(cluster);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ using storage::Update;
 
 /// Per-sender outbound (dst, kind, type) sequences, recorded at the
 /// transport seam's send tap. Mutex-guarded: the socket backend taps
-/// from worker threads.
+/// from its event-loop threads.
 class SendRecorder {
  public:
   rt::SendTap Tap() {

@@ -4,10 +4,12 @@
 //  - stream corruption (oversized length prefix, undecodable payload)
 //    must tear the connection down, never resynchronize by guesswork;
 //  - a slow reader must surface as fast send failures at the sender
-//    (bounded outbound queue), never wedge a worker thread;
+//    (bounded outbound queue), never wedge the sending thread;
 //  - a connection killed mid-frame must deliver whole frames or nothing
 //    (single-buffer frames cannot be torn between header and payload);
-//  - partial writes must resume correctly and preserve frame order.
+//  - partial writes must resume correctly and preserve frame order;
+//  - a well-formed frame whose src/dst does not match the connection it
+//    arrived on must be rejected, never routed by its header.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -161,6 +163,56 @@ TEST_F(TransportFaultTest, UndecodablePayloadTearsConnectionDown) {
     return failed.load() > 0;
   }));
   EXPECT_EQ(sinks_[1]->count(), 0u);
+}
+
+/// A correctly encoded frame (length prefix + codec payload) for `msg`,
+/// as a peer's transport would write it.
+std::vector<uint8_t> EncodedFrame(const net::Message& msg) {
+  std::vector<uint8_t> frame(4, 0);
+  EXPECT_TRUE(protocol::MakeWireCodec().encode(msg, &frame));
+  const size_t len = frame.size() - 4;
+  for (size_t i = 0; i < 4; ++i) {
+    frame[i] = static_cast<uint8_t>((len >> (8 * i)) & 0xff);
+  }
+  return frame;
+}
+
+TEST_F(TransportFaultTest, FrameWithSpoofedDstIsRejected) {
+  StartTransport(3);
+
+  // On the 0 -> 1 connection, a well-formed frame addressed to node 2.
+  // Routing by the header would let one connection inject messages for
+  // every node; the frame must instead read as stream corruption.
+  const std::vector<uint8_t> spoofed_dst = EncodedFrame(TestMessage(0, 2, 7));
+  ASSERT_TRUE(transport_->InjectRawBytesForTest(0, 1, spoofed_dst).ok());
+  ASSERT_TRUE(WaitFor([&] { return transport_->counters().decode_failures >= 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (const auto& sink : sinks_) EXPECT_EQ(sink->count(), 0u);
+
+  // The connection is torn down like any other corrupt stream.
+  std::atomic<int> failed{0};
+  ASSERT_TRUE(WaitFor([&] {
+    transport_->Send(TestMessage(0, 1, 8), [&] { failed.fetch_add(1); });
+    return failed.load() > 0;
+  }));
+  EXPECT_EQ(sinks_[1]->count(), 0u);
+}
+
+TEST_F(TransportFaultTest, FrameWithSpoofedSrcIsRejected) {
+  StartTransport(3);
+
+  // On the 0 -> 1 connection, a well-formed frame claiming to come from
+  // node 2: node 1 must not believe node 2 said it.
+  const std::vector<uint8_t> spoofed_src = EncodedFrame(TestMessage(2, 1, 7));
+  ASSERT_TRUE(transport_->InjectRawBytesForTest(0, 1, spoofed_src).ok());
+  ASSERT_TRUE(WaitFor([&] { return transport_->counters().decode_failures >= 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (const auto& sink : sinks_) EXPECT_EQ(sink->count(), 0u);
+
+  // The genuine 2 -> 1 connection is unaffected.
+  transport_->Send(TestMessage(2, 1, 9));
+  ASSERT_TRUE(WaitFor([&] { return sinks_[1]->count() == 1; }));
+  EXPECT_EQ(sinks_[1]->rpc_ids(), (std::vector<uint64_t>{9}));
 }
 
 TEST_F(TransportFaultTest, SlowReaderFailsSendsFastAndSenderStaysLive) {
