@@ -4,12 +4,15 @@
 // success rate (client-visible availability) and the latency of
 // committed operations in network round-trips.
 //
-// Expected shape: the dynamic grid's writes cost ~3 RTT (lock round +
-// 2PC prepare + commit) over ~2 sqrt(N) nodes; reads ~2 RTT. JM dynamic
-// voting pays the same rounds over ALL nodes — same latency in this
-// uniform-latency model but far more traffic (see message_traffic) —
-// while its success rate under churn is comparable; the static stacks
-// lose availability as failures accumulate.
+// Expected shape: the dynamic grid's writes cost ~2 RTT (lock round +
+// 2PC prepare; the commit leaves once the decision is durable, off the
+// client's path) over ~2 sqrt(N) nodes; reads ~1 RTT (the lock grants
+// carry the data; the unlock is off the path). JM dynamic voting pays the
+// same write rounds over ALL nodes — same write latency in this
+// uniform-latency model but far more traffic (see message_traffic) — and
+// its reads still fetch and await their unlock (~3 RTT), while its
+// success rate under churn is comparable; the static stacks lose
+// availability as failures accumulate.
 
 #include <cinttypes>
 #include <cstdio>

@@ -68,8 +68,7 @@ TrafficResult MeasureTraffic(CoterieKind kind, Stack stack, uint32_t n,
             done);
         break;
     }
-    while (!fired && cluster.simulator().Step()) {
-    }
+    cluster.RunUntilSettled(coord, fired);
     return ok;
   };
   auto do_read = [&](NodeId coord) -> bool {
@@ -93,8 +92,7 @@ TrafficResult MeasureTraffic(CoterieKind kind, Stack stack, uint32_t n,
         baseline::StartAccessibleRead(&cluster.node(coord), done);
         break;
     }
-    while (!fired && cluster.simulator().Step()) {
-    }
+    cluster.RunUntilSettled(coord, fired);
     return ok;
   };
 

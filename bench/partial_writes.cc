@@ -81,15 +81,15 @@ Stats RunWriteToAllWorkload(uint32_t n, int ops, uint64_t object_size) {
   Stats result;
   for (int i = 0; i < ops; ++i) {
     bool fired = false, ok = false;
+    const NodeId coord = static_cast<NodeId>(i % n);
     baseline::StartDynamicVotingWrite(
-        &cluster.node(static_cast<NodeId>(i % n)),
+        &cluster.node(coord),
         std::vector<uint8_t>(object_size, uint8_t(i)),
         [&](dcp::Result<WriteOutcome> r) {
           fired = true;
           ok = r.ok();
         });
-    while (!fired && cluster.simulator().Step()) {
-    }
+    cluster.RunUntilSettled(coord, fired);
     if (!ok) ++result.failures;
     cluster.RunFor(400);
   }

@@ -1,5 +1,7 @@
 #include "harness/socket_cluster.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -27,11 +29,45 @@ rt::SocketTransportOptions TransportOptions(const SocketClusterOptions& o) {
   return t;
 }
 
+// The sync wrappers' budgets are real time.
+using Clock = std::chrono::steady_clock;  // dcp-lint: allow(wall-clock)
+
+/// Returns once `holds(node)`, evaluated on the node's own loop, reads
+/// true (then true), or at `deadline` (then false). Probes back off from
+/// 50 us to 2 ms, so the wait does not crowd the loop it is waiting on.
+template <typename Pred>
+bool AwaitOnLoop(protocol::ReplicaNode* node, Pred holds,
+                 Clock::time_point deadline) {
+  auto backoff = std::chrono::microseconds(50);
+  for (;;) {
+    auto probe = std::make_shared<std::promise<bool>>();
+    std::future<bool> answer = probe->get_future();
+    node->runtime()->Schedule(0, [node, holds, probe] {
+      probe->set_value(holds(node));
+    });
+    if (answer.wait_until(deadline) != std::future_status::ready) {
+      return false;
+    }
+    if (answer.get()) return true;
+    if (Clock::now() + backoff >= deadline) return false;
+    std::this_thread::sleep_for(backoff);
+    backoff = std::min(backoff * 2, decltype(backoff)(2000));
+  }
+}
+
+bool NoCallsInFlight(protocol::ReplicaNode* node) {
+  return node->rpc().outstanding_calls() == 0;
+}
+
 /// Posts `start(node, done)` onto `node`'s runtime (protocol code must
 /// run on its node's execution context) and blocks until `done` fires or
-/// the harness's per-op budget runs out. The promise lives in the posted
-/// closure (shared_ptr), so a timed-out operation completing late writes
-/// into an orphaned promise, not a dead frame.
+/// the harness's per-op budget runs out. An operation answers before its
+/// commit or unlock has reached the replicas, so the call then also waits
+/// (within another budget) until the coordinator's calls have drained: a
+/// synchronous caller inspects state or issues its next call after the
+/// operation's tail has landed. The promise lives in the posted closure
+/// (shared_ptr), so a timed-out operation completing late writes into an
+/// orphaned promise, not a dead frame.
 template <typename R, typename Start>
 R RunOnNode(protocol::ReplicaNode* node, rt::Time timeout_ms,
             const char* what, Start start) {
@@ -40,11 +76,13 @@ R RunOnNode(protocol::ReplicaNode* node, rt::Time timeout_ms,
   node->runtime()->Schedule(0, [node, promise, start]() mutable {
     start(node, [promise](R r) { promise->set_value(std::move(r)); });
   });
-  const auto budget = std::chrono::duration<double, std::milli>(timeout_ms);
+  const auto budget = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::milli>(timeout_ms));
   if (future.wait_for(budget) != std::future_status::ready) {
     return Status::TimedOut(std::string("socket ") + what +
                             " exceeded the harness budget");
   }
+  AwaitOnLoop(node, NoCallsInFlight, Clock::now() + budget);
   return future.get();
 }
 
@@ -92,6 +130,30 @@ void SocketCluster::Stop() { transport_.Stop(); }
 
 void SocketCluster::SetNodeUp(NodeId id, bool up) {
   transport_.SetNodeUp(id, up);
+}
+
+bool SocketCluster::AwaitIdle(rt::Time timeout_ms) {
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double, std::milli>(timeout_ms));
+  auto misses = std::make_shared<std::atomic<int>>(0);
+  auto idle = [misses](protocol::ReplicaNode* node) {
+    const bool is_idle = NoCallsInFlight(node) &&
+                         !node->has_staged_transaction() &&
+                         !node->HasPendingPropagation();
+    if (!is_idle) misses->fetch_add(1);
+    return is_idle;
+  };
+  // Work on one node can hand work to another (a commit leaves
+  // propagation duty at its participants), so repeat until one pass
+  // finds every node idle at its first probe.
+  for (;;) {
+    const int before = misses->load();
+    for (auto& node : nodes_) {
+      if (!AwaitOnLoop(node.get(), idle, deadline)) return false;
+    }
+    if (misses->load() == before) return true;
+  }
 }
 
 Status SocketCluster::CheckEpochInvariants() const {

@@ -86,6 +86,11 @@ class SocketCluster {
   /// traffic (its threads stay alive).
   void SetNodeUp(NodeId id, bool up);
 
+  /// Blocks until every node has no RPC in flight, no staged transaction
+  /// and no propagation duty, each read on the node's own loop. Returns
+  /// false if that does not happen within `timeout_ms` of real time.
+  [[nodiscard]] bool AwaitIdle(rt::Time timeout_ms);
+
   // --- blocking client operations (callable from any non-node thread) ---
   [[nodiscard]] Result<protocol::WriteOutcome> WriteSync(
       NodeId coordinator, storage::ObjectId object, storage::Update update);

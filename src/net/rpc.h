@@ -106,6 +106,11 @@ class RpcRuntime : public MessageSink {
   /// by the cluster harness when this node crashes: a fail-stop node's
   /// in-flight coordinator work simply dies with it.
   void AbortAll();
+  /// Bumped by every AbortAll: work captured under one value must not
+  /// resume under another (the node crashed in between).
+  uint64_t incarnation() const { return incarnation_; }
+  /// Calls issued and not yet completed (answered, failed or timed out).
+  size_t outstanding_calls() const { return outstanding_.size(); }
 
   // MessageSink:
   void Deliver(Message msg) override;

@@ -161,20 +161,26 @@ void Cluster::CheckObjectEpoch(NodeId initiator, storage::ObjectId object,
 }
 
 template <typename R, typename Start>
-R Cluster::RunSync(const char* what, Start start) {
+R Cluster::RunSync(NodeId coordinator, const char* what, Start start) {
   bool fired = false;
   R result = Status::Internal("unset");
   start([&](R r) {
     fired = true;
     result = std::move(r);
   });
-  while (!fired) {
-    if (!sim_.Step()) {
-      return Status::Internal(std::string("simulation drained before ") +
-                              what + " completed");
-    }
+  if (!RunUntilSettled(coordinator, fired)) {
+    return Status::Internal(std::string("simulation drained before ") +
+                            what + " completed");
   }
   return result;
+}
+
+bool Cluster::RunUntilSettled(NodeId coordinator, const bool& done) {
+  const net::RpcRuntime& rpc = node(coordinator).rpc();
+  while (!done || rpc.outstanding_calls() > 0) {
+    if (!sim_.Step()) return done;
+  }
+  return true;
 }
 
 template <typename R, typename Attempt>
@@ -194,34 +200,34 @@ R Cluster::RetrySync(int max_attempts, Attempt attempt) {
 Result<WriteOutcome> Cluster::WriteSync(NodeId coordinator,
                                         storage::ObjectId object,
                                         Update update) {
-  return RunSync<Result<WriteOutcome>>("write", [&](WriteDone done) {
+  return RunSync<Result<WriteOutcome>>(coordinator, "write", [&](WriteDone done) {
     Write(coordinator, object, std::move(update), std::move(done));
   });
 }
 
 Result<ReadOutcome> Cluster::ReadSync(NodeId coordinator,
                                       storage::ObjectId object) {
-  return RunSync<Result<ReadOutcome>>("read", [&](ReadDone done) {
+  return RunSync<Result<ReadOutcome>>(coordinator, "read", [&](ReadDone done) {
     Read(coordinator, object, std::move(done));
   });
 }
 
 Status Cluster::CheckEpochSync(NodeId initiator) {
-  return RunSync<Status>("epoch check", [&](EpochCheckDone done) {
+  return RunSync<Status>(initiator, "epoch check", [&](EpochCheckDone done) {
     CheckEpoch(initiator, std::move(done));
   });
 }
 
 Result<TxnWriteOutcome> Cluster::TxnWriteSync(
     NodeId coordinator, std::vector<TxnWriteSpec> specs) {
-  return RunSync<Result<TxnWriteOutcome>>("txn", [&](TxnWriteDone done) {
+  return RunSync<Result<TxnWriteOutcome>>(coordinator, "txn", [&](TxnWriteDone done) {
     TxnWrite(coordinator, std::move(specs), std::move(done));
   });
 }
 
 Status Cluster::CheckObjectEpochSync(NodeId initiator,
                                      storage::ObjectId object) {
-  return RunSync<Status>("epoch check", [&](EpochCheckDone done) {
+  return RunSync<Status>(initiator, "epoch check", [&](EpochCheckDone done) {
     CheckObjectEpoch(initiator, object, std::move(done));
   });
 }

@@ -173,7 +173,7 @@ class Cluster {
                         EpochCheckDone done);
 
   // --- synchronous wrappers: run the simulation until the operation
-  //     completes (events after completion stay queued). ---
+  //     completes and its off-path tail has landed (RunUntilSettled). ---
   [[nodiscard]]
   Result<WriteOutcome> WriteSync(NodeId coordinator, storage::ObjectId object,
                                  Update update);
@@ -225,6 +225,13 @@ class Cluster {
   /// Advances the simulation clock by `duration`.
   void RunFor(sim::Time duration);
 
+  /// Steps the simulation until `done` reads true and `coordinator` has
+  /// no RPC in flight. An operation answers before its commit or unlock
+  /// reaches the replicas; it has settled once the coordinator's calls
+  /// (that tail among them) are answered or timed out. Returns false if
+  /// the event queue drained before `done`.
+  bool RunUntilSettled(NodeId coordinator, const bool& done);
+
   // --- invariant checking (test support; see protocol/invariants.h) ---
 
   /// Lemma-1 epoch invariants per lineage, valid at quiescence.
@@ -239,12 +246,12 @@ class Cluster {
   [[nodiscard]] Status CheckHistory() const;
 
  private:
-  /// Starts an operation through `start(callback)` and steps the
-  /// simulator until the callback fires (events after it stay queued).
-  /// If the event queue drains first, the operation lost its continuation
-  /// (a bug or a crashed coordinator) and `what` names it in the error.
+  /// Starts an operation through `start(callback)` and runs the
+  /// simulation until it settles (RunUntilSettled). If the event queue
+  /// drains first, the operation lost its continuation (a bug or a
+  /// crashed coordinator) and `what` names it in the error.
   template <typename R, typename Start>
-  R RunSync(const char* what, Start start);
+  R RunSync(NodeId coordinator, const char* what, Start start);
 
   /// Repeats `attempt()` up to `max_attempts` times while the retry
   /// policy calls its failure transient, with randomized backoff between

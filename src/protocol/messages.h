@@ -24,7 +24,7 @@ using storage::Version;
 namespace msg {
 inline constexpr char kLock[] = "lock";            ///< write/read-request
 inline constexpr char kUnlock[] = "unlock";        ///< plain lock release
-inline constexpr char kFetch[] = "fetch";          ///< read data transfer
+inline constexpr char kFetch[] = "fetch";          ///< data pull under a lock
 inline constexpr char kPrepare[] = "2pc-prepare";  ///< stage an action
 inline constexpr char kCommit[] = "2pc-commit";
 inline constexpr char kAbort[] = "2pc-abort";
@@ -55,6 +55,8 @@ struct ObjectStateTuple {
   Version version = 0;
   Version dversion = 0;
   bool stale = false;
+
+  bool operator==(const ObjectStateTuple&) const = default;
 };
 
 /// Lock modes: reads take shared locks, writes and epoch changes
@@ -77,8 +79,13 @@ struct LockRequest : net::Payload {
 };
 
 /// Granted-lock response. A refused lock is an app-level Conflict error.
+/// A granted *shared* lock on a non-stale replica also carries the
+/// replica's contents (at `state.version`), so a read completes in its
+/// lock round. `has_data` marks their presence: an empty object is valid.
 struct LockResponse : net::Payload {
   ReplicaStateTuple state;
+  bool has_data = false;
+  std::vector<uint8_t> data;
 };
 
 struct UnlockRequest : net::Payload {
@@ -87,7 +94,8 @@ struct UnlockRequest : net::Payload {
 
 struct AckResponse : net::Payload {};
 
-/// Reads pull the data from one up-to-date replica they hold a lock on.
+/// Pulls the data of a replica the caller holds a lock on (a write's
+/// safety-threshold promotion; the baselines' reads).
 struct FetchRequest : net::Payload {
   LockOwner owner;
   ObjectId object = 0;
@@ -157,6 +165,12 @@ struct PrepareRequest : net::Payload {
   LockOwner owner;
   StagedAction action;
   NodeSet participants;  ///< For cooperative termination.
+  /// An epoch install's view of this participant: the per-object tuples
+  /// its poll reported. The participant refuses the install if any of
+  /// them has moved since (or the object is staged), so the epoch
+  /// analysis is atomic with the state it read. Empty = unchecked (writes,
+  /// the baselines' installs).
+  std::vector<ObjectStateTuple> polled;
 };
 
 struct CommitRequest : net::Payload {
@@ -187,7 +201,8 @@ struct OutcomeResponse : net::Payload {
 // --- epoch checking --------------------------------------------------------
 
 /// "epoch-checking-request": report state; no lock taken (the subsequent
-/// epoch install is what locks, via 2PC prepare). One poll covers every
+/// epoch install locks at 2PC prepare, and refuses if the state reported
+/// here has moved — see PrepareRequest::polled). One poll covers every
 /// object of the group — or, when `scoped` is set (sharded deployments,
 /// where each object has its own epoch lineage), exactly `object`. The
 /// scoped fields are a backward-compatible wire trailer: an unscoped

@@ -408,12 +408,8 @@ class ReadOp : public std::enable_shared_from_this<ReadOp> {
     }
     auto self = shared_from_this();
     LockNodes(*quorum, [self] {
-      Analysis a = Analyze(self->held_);
-      if (!self->held_.empty() &&
-          self->node_->rule_for(self->object_)
-              .IsReadQuorum(a.max_epoch_list, KeysOf(self->held_)) &&
-          a.HasCurrentReplica()) {
-        self->Fetch(a);
+      if (self->HasCurrentReadQuorum()) {
+        self->Finish();
       } else {
         self->StartHeavyRead();
       }
@@ -421,6 +417,8 @@ class ReadOp : public std::enable_shared_from_this<ReadOp> {
   }
 
  private:
+  /// Locks `targets` shared, folding granted tuples into held_ and
+  /// keeping the newest data a grant carried.
   void LockNodes(const NodeSet& targets, std::function<void()> next) {
     auto req = std::make_shared<LockRequest>();
     req->owner = owner_;
@@ -428,18 +426,36 @@ class ReadOp : public std::enable_shared_from_this<ReadOp> {
     req->object = object_;
     req->op_started = started_at_;  // Wound-wait seniority.
     auto self = shared_from_this();
-    net::MulticastGather(&node_->rpc(), targets, msg::kLock, req,
-                         [self, next = std::move(next)](GatherResult g) {
-                           for (auto& [node, r] : g.replies) {
-                             if (r.ok()) {
-                               self->held_[node] =
-                                   net::As<LockResponse>(r.response).state;
-                             } else if (!r.call_failed()) {
-                               self->saw_conflict_ = true;
-                             }
-                           }
-                           next();
-                         });
+    net::MulticastGather(
+        &node_->rpc(), targets, msg::kLock, req,
+        [self, next = std::move(next)](GatherResult g) {
+          for (auto& [node, r] : g.replies) {
+            if (r.ok()) {
+              const auto& grant = net::As<LockResponse>(r.response);
+              self->held_[node] = grant.state;
+              self->KeepNewestData(grant);
+            } else if (!r.call_failed()) {
+              self->saw_conflict_ = true;
+            }
+          }
+          next();
+        });
+  }
+
+  void KeepNewestData(const LockResponse& grant) {
+    if (grant.has_data && (!value_ || grant.state.version > value_->version)) {
+      value_ = ReadOutcome{grant.state.version, grant.data};
+    }
+  }
+
+  /// The paper's read condition: the grants form a read quorum over the
+  /// newest epoch list among them and include a current replica.
+  bool HasCurrentReadQuorum() const {
+    Analysis a = Analyze(held_);
+    return !held_.empty() &&
+           node_->rule_for(object_).IsReadQuorum(a.max_epoch_list,
+                                                 KeysOf(held_)) &&
+           a.HasCurrentReplica();
   }
 
   void StartHeavyRead() {
@@ -450,12 +466,8 @@ class ReadOp : public std::enable_shared_from_this<ReadOp> {
     NodeSet remaining = node_->universe(object_).Difference(KeysOf(held_));
     auto self = shared_from_this();
     LockNodes(remaining, [self] {
-      Analysis a = Analyze(self->held_);
-      if (!self->held_.empty() &&
-          self->node_->rule_for(self->object_)
-              .IsReadQuorum(a.max_epoch_list, KeysOf(self->held_)) &&
-          a.HasCurrentReplica()) {
-        self->Fetch(a);
+      if (self->HasCurrentReadQuorum()) {
+        self->Finish();
       } else if (self->saw_conflict_) {
         self->Fail(Status::Conflict("lock conflicts prevented a quorum"));
       } else {
@@ -465,49 +477,31 @@ class ReadOp : public std::enable_shared_from_this<ReadOp> {
     });
   }
 
-  void Fetch(const Analysis& a) {
-    Version version = *a.max_version;
-    NodeSet good = GoodSet(held_, version);
-    assert(!good.Empty());
-    // Load sharing: rotate the fetch target across good replicas.
-    uint64_t selector = SelectorFor(owner_.coordinator, owner_.operation_id);
-    NodeId target = good.NthMember(
-        static_cast<uint32_t>(selector % good.Size()));
-    auto req = std::make_shared<FetchRequest>();
-    req->owner = owner_;
-    req->object = object_;
-    auto self = shared_from_this();
-    node_->rpc().Call(target, msg::kFetch, req,
-                      [self, version](net::RpcResult r) {
-                        if (!r.ok()) {
-                          self->Fail(r.call_failed() ? r.transport : r.app);
-                          return;
-                        }
-                        const auto& resp = net::As<FetchResponse>(r.response);
-                        assert(resp.version == version &&
-                               "locked replica changed under a read");
-                        ReadOutcome out;
-                        out.version = resp.version;
-                        out.data = resp.data;
-                        self->Finish(std::move(out));
-                      });
-  }
-
-  void Finish(ReadOutcome out) {
+  /// Completes with the data of a grant at the maximum version. Every
+  /// non-stale shared grant carries its data, so the replica that set the
+  /// maximum supplied it. The unlock goes out but nobody waits for it:
+  /// the read's outcome is already fixed.
+  void Finish() {
+    const Version version = *Analyze(held_).max_version;
+    if (!value_ || value_->version != version) {
+      Fail(Status::Internal("no lock grant carried the current data"));
+      return;
+    }
     if (history_ != nullptr) {
       HistoryRecorder::CompletedRead r;
-      r.version = out.version;
-      r.data = out.data;
+      r.version = value_->version;
+      r.data = value_->data;
       r.started_at = started_at_;
       r.finished_at = node_->runtime()->Now();
       r.coordinator = node_->self();
       history_->RecordRead(r);
     }
-    auto self = shared_from_this();
-    ReleaseLocks(node_, owner_, KeysOf(held_),
-                 [self, out = std::move(out)] { self->Complete(out); });
+    ReleaseLocks(node_, owner_, KeysOf(held_), [] {});
+    Complete(std::move(*value_));
   }
 
+  /// Failure waits for its unlock gather, so a retry never meets the
+  /// locks this attempt still holds.
   void Fail(Status status) {
     auto self = shared_from_this();
     ReleaseLocks(node_, owner_, KeysOf(held_),
@@ -540,6 +534,7 @@ class ReadOp : public std::enable_shared_from_this<ReadOp> {
   uint64_t span_id_ = 0;
   rt::Time started_at_ = 0;
   TupleMap held_;
+  std::optional<ReadOutcome> value_;  ///< Newest data a grant carried.
   bool heavy_ = false;
   bool saw_conflict_ = false;
 };
@@ -896,9 +891,13 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
 
     // One 2PC installs the epoch for the whole group and carries each
     // object's mark-stale / propagation duty — the amortization the
-    // paper promises for data items sharing a node set.
+    // paper promises for data items sharing a node set. Each prepare
+    // carries what its member reported, and the member refuses if that
+    // has moved: the analysis above holds no lock.
     std::map<NodeId, StagedAction> actions;
+    TwoPhaseCommit::PolledState polled;
     for (NodeId member : new_epoch) {
+      polled[member] = responded.at(member).objects;
       StagedAction act;
       act.install_epoch = true;
       act.epoch_number = max_epoch + 1;
@@ -924,7 +923,8 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
     }
     auto self = shared_from_this();
     TwoPhaseCommit::Run(node_, owner_, std::move(actions), nullptr,
-                        [self](Status s) { self->Complete(s); });
+                        [self](Status s) { self->Complete(s); },
+                        std::move(polled));
   }
 
   /// Single exit point: settles the epoch-check metrics and span.

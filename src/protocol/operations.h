@@ -51,6 +51,8 @@ struct WriteOptions {
 ///   3. otherwise fall back to HeavyProcedure: lock *all* remaining
 ///      nodes, re-evaluate, and either commit as above or abort.
 ///
+/// `done` fires once the commit decision is durable; the commit itself
+/// reaches the participants afterwards (see TwoPhaseCommit::Run).
 /// Lock conflicts abort the attempt with kConflict (the caller retries
 /// with backoff — see Cluster::Write). `history` may be null. `object`
 /// selects the data item within the node's replica group.
@@ -65,9 +67,10 @@ inline void StartWrite(ReplicaNode* node, Update update, WriteOptions options,
 
 /// The read protocol: "similar to the write protocol except it does not
 /// update any replicas" (Section 4). Locks a read quorum (shared),
-/// verifies it saw a current replica, fetches the data from one good
-/// replica, and unlocks. Falls back to polling all nodes when the local
-/// epoch list was out of date or no current replica answered.
+/// verifies it saw a current replica, and completes with the data that
+/// replica's lock grant carried; the unlock follows without being
+/// awaited. Falls back to polling all nodes when the local epoch list
+/// was out of date or no current replica answered.
 void StartRead(ReplicaNode* node, storage::ObjectId object,
                HistoryRecorder* history, ReadDone done);
 

@@ -327,6 +327,38 @@ bool ReplicaNode::LockIsStaged(const LockOwner& owner) const {
   return staged_.count(KeyOf(owner)) > 0;
 }
 
+bool ReplicaNode::ObjectIsStaged(ObjectId object) const {
+  for (const auto& [key, staged] : staged_) {
+    const StagedAction& action = staged.action;
+    if (action.install_epoch &&
+        (!action.epoch_scoped || action.epoch_object == object)) {
+      return true;
+    }
+    for (const ObjectAction& act : action.objects) {
+      if (act.object == object) return true;
+    }
+  }
+  return false;
+}
+
+Status ReplicaNode::CheckPolledState(
+    const std::vector<ObjectStateTuple>& polled) const {
+  for (const ObjectStateTuple& t : polled) {
+    auto it = objects_.find(t.object);
+    if (it == objects_.end()) {
+      return Status::NotFound("prepare polled an unknown object");
+    }
+    const storage::ReplicaStore& store = it->second;
+    const ObjectStateTuple now{t.object, store.version(),
+                               store.desired_version(), store.stale()};
+    if (now != t || ObjectIsStaged(t.object)) {
+      return Status::Conflict("object " + std::to_string(t.object) +
+                              " moved since the epoch poll");
+    }
+  }
+  return Status::OK();
+}
+
 Status ReplicaNode::TryLock(ObjectId object, const LockOwner& owner,
                             bool exclusive, rt::Time op_started) {
   storage::ReplicaStore& store = objects_.at(object);
@@ -445,30 +477,22 @@ Result<PayloadPtr> ReplicaNode::HandleLock(NodeId /*from*/,
   if (!s.ok()) return s;
   auto resp = std::make_shared<LockResponse>();
   resp->state = StateTuple(req.object);
+  if (req.mode == LockMode::kExclusive) return PayloadPtr(std::move(resp));
   if (options_.mutation_hooks.skip_relock_staged &&
-      req.mode == LockMode::kShared) {
+      ObjectIsStaged(req.object)) {
     // Count grants that the relock defense would have refused: a shared
     // lock on an object inside a prepared-but-undecided footprint.
-    for (const auto& [key, staged] : staged_) {
-      bool touches = staged.action.install_epoch &&
-                     (!staged.action.epoch_scoped ||
-                      staged.action.epoch_object == req.object);
-      for (const ObjectAction& act : staged.action.objects) {
-        touches = touches || act.object == req.object;
-      }
-      if (touches) {
-        runtime()
-            ->metrics()
-            .counter("mutation.relock_bypassed")
-            ->Increment();
-        break;
-      }
-    }
+    runtime()->metrics().counter("mutation.relock_bypassed")->Increment();
   }
-  if (options_.mutation_hooks.serve_stale_reads &&
-      req.mode == LockMode::kShared && resp->state.stale) {
+  if (options_.mutation_hooks.serve_stale_reads && resp->state.stale) {
     resp->state.stale = false;  // Test-only lie; see MutationHooks.
     runtime()->metrics().counter("mutation.stale_lied")->Increment();
+  }
+  // A read's data rides on its lock grant: the shared lock pins this
+  // version until the read's unlock.
+  if (!resp->state.stale) {
+    resp->has_data = true;
+    resp->data = objects_.at(req.object).object().data();
   }
   return PayloadPtr(std::move(resp));
 }
@@ -512,6 +536,14 @@ Result<PayloadPtr> ReplicaNode::HandlePrepare(const PrepareRequest& req) {
     for (const ObjectAction& act : req.action.objects) {
       footprint.push_back(act.object);
     }
+  }
+  // An epoch install is only valid for the state its analysis polled.
+  // Refusing here, before the lock below pins the state until the
+  // outcome, makes the poll and the install atomic.
+  Status polled = CheckPolledState(req.polled);
+  if (!polled.ok()) {
+    if (!options_.mutation_hooks.skip_epoch_state_check) return polled;
+    runtime()->metrics().counter("mutation.epoch_check_skipped")->Increment();
   }
   // Writes already hold their exclusive lock from the lock round (lock
   // is re-entrant); epoch changes acquire theirs here. On any conflict,

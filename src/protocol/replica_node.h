@@ -79,6 +79,13 @@ struct ReplicaNodeOptions {
     /// replica as current. A read quorum of entirely-stale replicas then
     /// serves old data instead of failing with kStaleData.
     bool serve_stale_reads = false;
+
+    /// Install an epoch even when the participant's state moved between
+    /// the epoch check's poll and its prepare (PrepareRequest::polled).
+    /// An analysis that never saw a write committed in that window marks
+    /// the new version's replicas stale for an older desired version, and
+    /// a read quorum of the new epoch can then miss it.
+    bool skip_epoch_state_check = false;
   };
   MutationHooks mutation_hooks;
 };
@@ -250,6 +257,8 @@ class ReplicaNode : public net::RpcService {
 
   /// Replicas this node still owes propagation to for `object`.
   NodeSet pending_propagation(ObjectId object = 0) const;
+  /// True iff this node owes propagation for any object.
+  bool HasPendingPropagation() const;
 
   /// Enqueues propagation duty (also used by epoch-change commits).
   void AddPropagationTargets(ObjectId object, const NodeSet& targets);
@@ -321,6 +330,13 @@ class ReplicaNode : public net::RpcService {
   Status TryLock(ObjectId object, const LockOwner& owner, bool exclusive,
                  rt::Time op_started = 0);
   bool LockIsStaged(const LockOwner& owner) const;
+  /// True iff some prepared-but-undecided action's footprint covers
+  /// `object`.
+  bool ObjectIsStaged(ObjectId object) const;
+  /// Why an epoch install must be refused: a polled tuple that no longer
+  /// matches this replica, or that names a staged object. OK otherwise.
+  [[nodiscard]]
+  Status CheckPolledState(const std::vector<ObjectStateTuple>& polled) const;
   void UnlockEverywhere(const LockOwner& owner);
 
   void RecordOutcome(const LockOwner& tx, TxOutcome outcome);
@@ -336,7 +352,6 @@ class ReplicaNode : public net::RpcService {
   void SchedulePropagation(rt::Time delay);
   void RunPropagationRound();
   void OfferPropagation(ObjectId object, NodeId target);
-  bool HasPendingPropagation() const;
 
   /// Marks one propagation duty fulfilled (durably, when enabled).
   void FinishPropagation(ObjectId object, NodeId target);

@@ -21,7 +21,8 @@ uint64_t TxSpanId(const LockOwner& tx) {
 
 void TwoPhaseCommit::Run(ReplicaNode* coordinator, const LockOwner& tx,
                          std::map<NodeId, StagedAction> actions,
-                         DecisionHook on_decide, Done done) {
+                         DecisionHook on_decide, Done done,
+                         PolledState polled) {
   NodeSet participants;
   for (const auto& [node, action] : actions) participants.Insert(node);
 
@@ -37,6 +38,7 @@ void TwoPhaseCommit::Run(ReplicaNode* coordinator, const LockOwner& tx,
   // per-node Call loop rather than a MulticastGather.
   struct State {
     ReplicaNode* coordinator;
+    uint64_t incarnation = 0;  ///< The coordinator's, at Run.
     LockOwner tx;
     NodeSet participants;
     DecisionHook on_decide;
@@ -48,6 +50,7 @@ void TwoPhaseCommit::Run(ReplicaNode* coordinator, const LockOwner& tx,
   };
   auto state = std::make_shared<State>();
   state->coordinator = coordinator;
+  state->incarnation = coordinator->rpc().incarnation();
   state->tx = tx;
   state->participants = participants;
   state->on_decide = std::move(on_decide);
@@ -56,6 +59,11 @@ void TwoPhaseCommit::Run(ReplicaNode* coordinator, const LockOwner& tx,
 
   auto run_phase2 = [state](TxOutcome outcome) {
     if (state->on_decide) state->on_decide(outcome);
+    // A coordinator that crashed (even inside on_decide) has no phase 2
+    // and no client to answer; termination resolves its participants.
+    if (state->coordinator->rpc().incarnation() != state->incarnation) {
+      return;
+    }
 
     rt::Runtime* simulator = state->coordinator->runtime();
     const bool committed = outcome == TxOutcome::kCommitted;
@@ -86,20 +94,18 @@ void TwoPhaseCommit::Run(ReplicaNode* coordinator, const LockOwner& tx,
     }
     net::MulticastGather(
         &state->coordinator->rpc(), state->participants, type, phase2,
-        [state, outcome, phase2_span, span_id](net::GatherResult) {
+        [state, committed, phase2_span, span_id](net::GatherResult) {
           // Unreachable participants resolve via cooperative termination;
           // the transaction outcome is already decided either way.
           state->coordinator->runtime()->tracer().EndSpan(
               "2pc", phase2_span, state->tx.coordinator, span_id, {});
-          if (outcome == TxOutcome::kCommitted) {
-            state->done(Status::OK());
-          } else {
-            Status s = state->first_failure.ok()
-                           ? Status::Aborted("2pc prepare failed")
-                           : state->first_failure;
-            state->done(Status::Aborted("2pc aborted: " + s.ToString()));
-          }
+          if (committed) return;  // Acknowledged at the decision.
+          Status s = state->first_failure.ok()
+                         ? Status::Aborted("2pc prepare failed")
+                         : state->first_failure;
+          state->done(Status::Aborted("2pc aborted: " + s.ToString()));
         });
+    if (committed) state->done(Status::OK());
   };
 
   auto finish_phase1 = [state, run_phase2] {
@@ -122,6 +128,9 @@ void TwoPhaseCommit::Run(ReplicaNode* coordinator, const LockOwner& tx,
     prepare->owner = tx;
     prepare->action = action;
     prepare->participants = participants;
+    if (auto it = polled.find(node); it != polled.end()) {
+      prepare->polled = std::move(it->second);
+    }
     coordinator->rpc().Call(
         node, msg::kPrepare, prepare,
         [state, finish_phase1](net::RpcResult r) {

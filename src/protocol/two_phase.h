@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <vector>
 
 #include "protocol/messages.h"
 #include "protocol/replica_node.h"
@@ -29,16 +30,28 @@ class TwoPhaseCommit {
   /// Observes the decision at the commit point — before phase 2 fan-out —
   /// which is when a write becomes durable for history-recording purposes.
   using DecisionHook = std::function<void(TxOutcome)>;
+  /// Per participant, the epoch-poll tuples its prepare must still match
+  /// (see PrepareRequest::polled). Participants absent here are unchecked.
+  using PolledState = std::map<NodeId, std::vector<ObjectStateTuple>>;
 
   /// Runs one transaction from `coordinator`. Participants are the keys
   /// of `actions`. Exclusive locks are acquired by prepare if not already
   /// held by `tx` (write operations hold them from their lock round).
-  /// `done` fires with OK once commit is decided and phase 2 has been
-  /// delivered (participants unreachable during phase 2 finish via
-  /// termination), or with Aborted/Unavailable if prepare failed.
+  ///
+  /// A commit is acknowledged at its durable decision: once the decision
+  /// record is on disk, the commit multicast is handed to the transport
+  /// and `done(OK)` fires without waiting for phase-2 acks. The outcome is
+  /// fixed by then, and participants keep their staged exclusive locks
+  /// until the commit reaches them (or termination resolves it), so a
+  /// later operation meets a conflict, never pre-commit state. An abort
+  /// waits for its phase-2 gather before `done(Aborted/Unavailable)`, so
+  /// a retry starts from released locks. `done` never fires on a
+  /// coordinator that crashed after Run began, including inside
+  /// `on_decide`.
   static void Run(ReplicaNode* coordinator, const LockOwner& tx,
                   std::map<NodeId, StagedAction> actions,
-                  DecisionHook on_decide, Done done);
+                  DecisionHook on_decide, Done done,
+                  PolledState polled = {});
 };
 
 }  // namespace dcp::protocol

@@ -55,6 +55,36 @@ ReplicaStateTuple GetReplicaState(ByteReader& r) {
   return t;
 }
 
+void PutObjectState(ByteWriter& w, const ObjectStateTuple& t) {
+  w.U32(t.object);
+  w.U64(t.version);
+  w.U64(t.dversion);
+  w.Bool(t.stale);
+}
+
+ObjectStateTuple GetObjectState(ByteReader& r) {
+  ObjectStateTuple t;
+  t.object = r.U32();
+  t.version = r.U64();
+  t.dversion = r.U64();
+  t.stale = r.Bool();
+  return t;
+}
+
+void PutObjectStates(ByteWriter& w, const std::vector<ObjectStateTuple>& v) {
+  w.U32(static_cast<uint32_t>(v.size()));
+  for (const ObjectStateTuple& t : v) PutObjectState(w, t);
+}
+
+/// False on a count the remaining bytes cannot hold.
+bool GetObjectStates(ByteReader& r, std::vector<ObjectStateTuple>* out) {
+  const uint32_t count = r.U32();
+  if (!r.ok() || count > r.remaining()) return false;  // >=1 byte per tuple.
+  out->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) out->push_back(GetObjectState(r));
+  return r.ok();
+}
+
 Status StatusFromWire(uint8_t code, std::string msg) {
   switch (static_cast<StatusCode>(code)) {
     case StatusCode::kOk:
@@ -124,6 +154,8 @@ bool PutPayload(ByteWriter& w, const net::PayloadPtr& p) {
   if (auto* v = dynamic_cast<const LockResponse*>(raw)) {
     w.U8(static_cast<uint8_t>(Body::kLockResponse));
     PutReplicaState(w, v->state);
+    w.Bool(v->has_data);
+    if (v->has_data) w.Bytes(v->data);
     return true;
   }
   if (auto* v = dynamic_cast<const UnlockRequest*>(raw)) {
@@ -152,6 +184,7 @@ bool PutPayload(ByteWriter& w, const net::PayloadPtr& p) {
     PutOwner(w, v->owner);
     w.Bytes(EncodeStagedAction(v->action));
     PutNodeSet(w, v->participants);
+    PutObjectStates(w, v->polled);
     return true;
   }
   if (auto* v = dynamic_cast<const CommitRequest*>(raw)) {
@@ -191,13 +224,7 @@ bool PutPayload(ByteWriter& w, const net::PayloadPtr& p) {
     w.U32(v->node);
     w.U64(v->enumber);
     PutNodeSet(w, v->elist);
-    w.U32(static_cast<uint32_t>(v->objects.size()));
-    for (const ObjectStateTuple& t : v->objects) {
-      w.U32(t.object);
-      w.U64(t.version);
-      w.U64(t.dversion);
-      w.Bool(t.stale);
-    }
+    PutObjectStates(w, v->objects);
     return true;
   }
   if (auto* v = dynamic_cast<const PropagationOffer*>(raw)) {
@@ -263,6 +290,8 @@ net::PayloadPtr GetPayload(ByteReader& r, bool* ok) {
     case Body::kLockResponse: {
       auto v = std::make_shared<LockResponse>();
       v->state = GetReplicaState(r);
+      v->has_data = r.Bool();
+      if (v->has_data) v->data = r.Bytes();
       return v;
     }
     case Body::kUnlockRequest: {
@@ -292,6 +321,10 @@ net::PayloadPtr GetPayload(ByteReader& r, bool* ok) {
         return nullptr;
       }
       v->participants = GetNodeSet(r);
+      if (!GetObjectStates(r, &v->polled)) {
+        *ok = false;
+        return nullptr;
+      }
       return v;
     }
     case Body::kCommitRequest: {
@@ -334,19 +367,9 @@ net::PayloadPtr GetPayload(ByteReader& r, bool* ok) {
       v->node = r.U32();
       v->enumber = r.U64();
       v->elist = GetNodeSet(r);
-      const uint32_t count = r.U32();
-      if (!r.ok() || count > r.remaining()) {  // >=1 byte per tuple.
+      if (!GetObjectStates(r, &v->objects)) {
         *ok = false;
         return nullptr;
-      }
-      v->objects.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        ObjectStateTuple t;
-        t.object = r.U32();
-        t.version = r.U64();
-        t.dversion = r.U64();
-        t.stale = r.Bool();
-        v->objects.push_back(t);
       }
       return v;
     }

@@ -32,8 +32,7 @@ Result<WriteOutcome> WriteSync(Cluster& cluster, NodeId coord,
                          fired = true;
                          result = std::move(r);
                        });
-  while (!fired && cluster.simulator().Step()) {
-  }
+  cluster.RunUntilSettled(coord, fired);
   return result;
 }
 
@@ -44,8 +43,7 @@ Result<ReadOutcome> ReadSync(Cluster& cluster, NodeId coord) {
     fired = true;
     result = std::move(r);
   });
-  while (!fired && cluster.simulator().Step()) {
-  }
+  cluster.RunUntilSettled(coord, fired);
   return result;
 }
 
@@ -56,8 +54,7 @@ Status ViewChangeSync(Cluster& cluster, NodeId coord) {
     fired = true;
     result = std::move(s);
   });
-  while (!fired && cluster.simulator().Step()) {
-  }
+  cluster.RunUntilSettled(coord, fired);
   return result;
 }
 

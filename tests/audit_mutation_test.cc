@@ -4,11 +4,11 @@
 // assert the client-history auditor catches the seeded violation with a
 // minimized counterexample. This proves the audit has teeth: each hook
 // resurrects a real bug class (reading around in-doubt prepared writes;
-// serving stale replicas as current) that the protocol's defenses exist
-// to prevent — if the auditor cannot see these, it cannot see a
-// regression either.
+// serving stale replicas as current; installing an epoch over state that
+// moved after its poll) that the protocol's defenses exist to prevent —
+// if the auditor cannot see these, it cannot see a regression either.
 //
-// Both scenarios stretch the repair windows the defenses guard
+// The first two scenarios stretch the repair windows the defenses guard
 // (background propagation, cooperative termination) far beyond their
 // defaults. That is deliberate: with instant repair, a disabled defense
 // is often masked within a round-trip or two, and the client-visible
@@ -24,6 +24,7 @@
 
 #include "analysis/client_history.h"
 #include "analysis/linearize.h"
+#include "epoch_churn.h"
 #include "harness/nemesis.h"
 #include "harness/workload.h"
 #include "protocol/cluster.h"
@@ -223,6 +224,46 @@ TEST(AuditMutations, ServeStaleReadsIsCaught) {
                                  "mutation.stale_lied");
   EXPECT_TRUE(clean.verdict.ok) << clean.verdict.ToString();
   EXPECT_EQ(clean.hook_fired, 0u);
+}
+
+// --- hook 3: install epochs over state that moved since the poll ---------
+
+// The epoch check polls without a lock and locks at prepare. Without the
+// prepare's polled-state check, a write that commits in between is
+// invisible to the analysis: the new epoch counts replicas still at the
+// older version (a recovered durable node among them) as current and
+// marks the new version's replicas stale for the older one, so a read
+// quorum of the new epoch can miss an acknowledged write. The audited
+// daemon-on durable churn sweep (epoch_churn_audit_test) must catch it
+// on its own configurations and seeds.
+TEST(AuditMutations, SkipEpochStateCheckIsCaught) {
+  constexpr sim::Time kChurnHorizon = 300000;
+  // Group mode exercises the group check; rf 9 the scoped check.
+  for (uint32_t replication_factor : {0u, 9u}) {
+    SCOPED_TRACE("replication_factor " + std::to_string(replication_factor));
+    uint64_t caught = 0;
+    uint64_t skipped = 0;
+    for (uint64_t seed = 4; seed <= 6 && caught == 0; ++seed) {
+      protocol::ClusterOptions opts =
+          epoch_churn::Options(seed, replication_factor);
+      opts.node_options.mutation_hooks.skip_epoch_state_check = true;
+      epoch_churn::RunResult run = epoch_churn::Run(
+          opts, seed, kChurnHorizon,
+          epoch_churn::SiteModelOutages(seed, 9, kChurnHorizon));
+      skipped += run.epoch_checks_skipped;
+      if (!run.verdict.ok && !run.verdict.inconclusive) {
+        EXPECT_FALSE(run.verdict.counterexample.empty())
+            << run.verdict.ToString();
+        EXPECT_GT(run.epoch_checks_skipped, 0u);
+        caught = seed;
+      }
+    }
+    // The control is the sweep itself: the same seeds with the check on.
+    EXPECT_NE(caught, 0u)
+        << "the churn sweep caught no violation with the epoch state check "
+           "skipped; the hook let "
+        << skipped << " installs through";
+  }
 }
 
 }  // namespace

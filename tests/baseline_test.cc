@@ -31,8 +31,7 @@ Result<WriteOutcome> StaticWriteSync(Cluster& cluster, NodeId coord,
                      fired = true;
                      result = std::move(r);
                    });
-  while (!fired && cluster.simulator().Step()) {
-  }
+  cluster.RunUntilSettled(coord, fired);
   return result;
 }
 
@@ -43,8 +42,7 @@ Result<ReadOutcome> StaticReadSync(Cluster& cluster, NodeId coord) {
     fired = true;
     result = std::move(r);
   });
-  while (!fired && cluster.simulator().Step()) {
-  }
+  cluster.RunUntilSettled(coord, fired);
   return result;
 }
 
@@ -57,8 +55,7 @@ Result<WriteOutcome> DvWriteSync(Cluster& cluster, NodeId coord,
                             fired = true;
                             result = std::move(r);
                           });
-  while (!fired && cluster.simulator().Step()) {
-  }
+  cluster.RunUntilSettled(coord, fired);
   return result;
 }
 
@@ -69,8 +66,7 @@ Result<ReadOutcome> DvReadSync(Cluster& cluster, NodeId coord) {
     fired = true;
     result = std::move(r);
   });
-  while (!fired && cluster.simulator().Step()) {
-  }
+  cluster.RunUntilSettled(coord, fired);
   return result;
 }
 

@@ -206,5 +206,58 @@ TEST(GroupEpoch, ChurnWithManyObjects) {
   }
 }
 
+// An epoch install's prepare carries the tuples its poll read from the
+// participant. The participant refuses if any has moved since, or if the
+// object sits in a staged transaction, and installs otherwise; a prepare
+// without tuples (a write, a baseline's install) is unchecked.
+TEST(GroupEpoch, PrepareRefusesAnInstallOverMovedState) {
+  Cluster cluster(GroupOptions(2));
+  ReplicaNode& node = cluster.node(3);
+  auto prepare = [&](uint64_t op, std::vector<ObjectStateTuple> polled) {
+    auto req = std::make_shared<PrepareRequest>();
+    req->owner = {8, op};
+    req->participants = NodeSet{3, 8};
+    req->action.install_epoch = true;
+    req->action.epoch_number = 1;
+    req->action.epoch_list = NodeSet{3, 8};
+    req->polled = std::move(polled);
+    return node.HandleRequest(8, msg::kPrepare, req);
+  };
+  auto abort = [&](NodeId from, LockOwner owner) {
+    auto req = std::make_shared<AbortRequest>();
+    req->owner = owner;
+    return node.HandleRequest(from, msg::kAbort, req);
+  };
+  const std::vector<ObjectStateTuple> as_polled = {{0, 0, 0, false},
+                                                   {1, 0, 0, false}};
+
+  // Object 1 advanced after the poll.
+  node.store(1).object().Apply(Update::Partial(0, {9}));
+  auto moved = prepare(1, as_polled);
+  EXPECT_TRUE(moved.status().IsConflict()) << moved.status().ToString();
+  EXPECT_FALSE(node.has_staged_transaction());
+
+  // Object 1 is inside a staged write.
+  auto write = std::make_shared<PrepareRequest>();
+  write->owner = {5, 1};
+  write->participants = NodeSet{3, 5};
+  ObjectAction act;
+  act.object = 1;
+  act.mark_stale = true;
+  act.desired_version = 4;
+  write->action.objects.push_back(act);
+  ASSERT_TRUE(node.HandleRequest(5, msg::kPrepare, write).ok());
+  const std::vector<ObjectStateTuple> current = {{0, 0, 0, false},
+                                                 {1, 1, 0, false}};
+  auto staged = prepare(2, current);
+  EXPECT_TRUE(staged.status().IsConflict()) << staged.status().ToString();
+  ASSERT_TRUE(abort(5, write->owner).ok());
+
+  // Unchanged state installs; so does an unchecked prepare.
+  EXPECT_TRUE(prepare(3, current).ok());
+  ASSERT_TRUE(abort(8, {8, 3}).ok());
+  EXPECT_TRUE(prepare(4, {}).ok());
+}
+
 }  // namespace
 }  // namespace dcp::protocol

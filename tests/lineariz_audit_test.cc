@@ -17,6 +17,7 @@
 
 #include "analysis/client_history.h"
 #include "analysis/linearize.h"
+#include "epoch_churn.h"
 #include "harness/nemesis.h"
 #include "harness/workload.h"
 #include "protocol/cluster.h"
@@ -182,6 +183,26 @@ INSTANTIATE_TEST_SUITE_P(
                                          CoterieKind::kMajority),
                        ::testing::Range(1, 11)),
     CrashSweepName);
+
+// --- epoch checks under durable churn ---------------------------------------
+
+// The shortest known reproduction of a stale read through an epoch
+// change. Node 8's check polled at t=11120.0, a write of object 3 decided
+// v19 at t=11120.25, and the epoch prepare started at t=11122.7. An
+// analysis that never saw v19 counted replicas still at v18 (recovered
+// node 3 among them) as current, marked the v19 replicas "stale, desired
+// v18", and a read quorum of the new epoch returned v18 at t=11308 after
+// v19 was acked. The prepare now carries the polled tuples, and a
+// participant whose state moved since the poll refuses the install.
+TEST(EpochCheckAtomicity, ShortestStaleReadThroughEpochChange) {
+  epoch_churn::RunResult run = epoch_churn::Run(
+      epoch_churn::Options(/*seed=*/1, /*replication_factor=*/0),
+      /*workload_seed=*/1, /*horizon=*/11600,
+      {{5, 3566.8, 5356.4}, {3, 9971.4, 11003.0}});
+  EXPECT_TRUE(run.quiesced);
+  EXPECT_GT(run.ops_recorded, 400u);
+  EXPECT_TRUE(run.verdict.ok) << run.verdict.ToString();
+}
 
 // --- the timeout regression (satellite fix) -------------------------------
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "protocol/cluster.h"
 
 namespace dcp::protocol {
@@ -117,24 +120,45 @@ TEST(ProtocolRead, ReadRefusesWhenOnlyStaleReplicasReachable) {
       << r.status().ToString();
 }
 
-TEST(ProtocolRead, FetchTargetRotatesAcrossGoodReplicas) {
+TEST(ProtocolRead, LockRoundCarriesDataAndQuorumsRotate) {
+  // A read completes in its lock round: the shared grants of current
+  // replicas carry the data, so failure-free reads send no fetch. Load
+  // sharing comes from the quorum function, which rotates the locked
+  // read quorum across coordinators and operations.
   Cluster cluster(Options());
   ASSERT_TRUE(cluster.WriteSyncRetry(0, 0, Update::Total({'d'}), 10).ok());
   cluster.RunFor(2000);
   cluster.network().ResetStats();
+
+  std::set<NodeSet> quorums;
+  NodeSet locked;
+  cluster.network().set_send_tap([&](const net::Message& m) {
+    if (m.kind == net::Message::Kind::kRequest && m.type.str() == msg::kLock) {
+      locked.Insert(m.dst);
+    }
+  });
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(cluster.ReadSyncRetry(static_cast<NodeId>(i % 9), 0, 10).ok());
+    locked = NodeSet();
+    auto r = cluster.ReadSyncRetry(static_cast<NodeId>(i % 9), 0, 10);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->version, 1u);
+    EXPECT_EQ(r->data, std::vector<uint8_t>{'d'});
+    quorums.insert(locked);
   }
-  // Fetches should not all hit one node.
-  uint32_t nodes_fetched_from = 0;
+  cluster.network().set_send_tap(nullptr);
+
   const auto& stats = cluster.network().stats();
-  auto it = stats.by_type.find("fetch");
-  ASSERT_NE(it, stats.by_type.end());
-  // Count distinct fetch targets via delivered_to of fetch... the stats
-  // aggregate all types per node, so instead assert total fetches == 30
-  // and rely on the quorum-function rotation tested elsewhere.
-  EXPECT_EQ(it->second.sent, 30u);
-  (void)nodes_fetched_from;
+  EXPECT_EQ(stats.by_type.count("fetch"), 0u);
+  EXPECT_EQ(stats.by_type.at("lock").sent, stats.by_type.at("unlock").sent);
+  // The grid's quorum function rotates across its three diagonals (one
+  // node per column), so together the reads lock every node.
+  EXPECT_EQ(quorums.size(), 3u);
+  NodeSet covered;
+  for (const NodeSet& q : quorums) {
+    EXPECT_EQ(q.Size(), 3u);
+    covered = covered.Union(q);
+  }
+  EXPECT_EQ(covered, NodeSet::Universe(9));
 }
 
 }  // namespace

@@ -108,8 +108,11 @@ TEST(SocketTransportTest, EpochChangeExcludesAndReadmitsAFailedNode) {
   EXPECT_EQ(r->data, (std::vector<uint8_t>{7, 8}));
 
   // Node 4 returns; a second epoch check readmits it (marked stale, then
-  // caught up by propagation).
+  // caught up by propagation). The check starts on a quiet cluster: an
+  // epoch install refuses a replica that w2's propagation still locks or
+  // has moved since the poll.
   cluster.SetNodeUp(4, true);
+  ASSERT_TRUE(cluster.AwaitIdle(SmokeOptions().op_timeout_ms));
   s = cluster.CheckEpochSync(2);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(cluster.node(2).epoch().list.ToVector(),

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "protocol/cluster.h"
 
 namespace dcp::protocol {
@@ -283,6 +286,139 @@ TEST(TwoPhase, EmptyParticipantSetCommitsTrivially) {
   cluster.simulator().Run();
   EXPECT_TRUE(result.ok());
 }
+
+TEST(TwoPhase, CoordinatorCrashInsideOnDecideNeverCallsDone) {
+  for (bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durability on" : "durability off");
+    ClusterOptions opts = Options();
+    opts.durability.enabled = durable;
+    Cluster cluster(opts);
+    LockOwner tx{0, cluster.node(0).NextOperationId()};
+    std::map<NodeId, StagedAction> actions;
+    for (NodeId n = 1; n <= 3; ++n) actions[n] = MarkStaleAction(9);
+
+    bool fired = false;
+    TwoPhaseCommit::Run(
+        &cluster.node(0), tx, actions,
+        [&](TxOutcome o) {
+          EXPECT_EQ(o, TxOutcome::kCommitted);
+          cluster.Crash(0);
+        },
+        [&](Status) { fired = true; });
+    cluster.RunFor(200);
+    EXPECT_FALSE(fired) << "a crashed coordinator answered its client";
+
+    cluster.Recover(0);
+    cluster.RunFor(1000);
+    EXPECT_FALSE(fired);
+    EXPECT_TRUE(cluster.Quiescent());
+    for (NodeId n = 1; n <= 3; ++n) {
+      EXPECT_TRUE(cluster.node(n).store().stale());
+    }
+  }
+}
+
+// --- a write is acknowledged at its durable commit decision ---------------
+
+class EarlyAck : public ::testing::TestWithParam<bool> {
+ protected:
+  ClusterOptions DurabilityOptions() const {
+    ClusterOptions opts = Options();
+    opts.durability.enabled = GetParam();
+    return opts;
+  }
+};
+
+// The coordinator dies the instant its client sees the ack, and its
+// outgoing links are cut so that no commit already on the wire lands:
+// the write lives on only in the coordinator's decision record and in
+// its participants' staged actions. Reads meanwhile conflict with the
+// staged locks, and once the coordinator is back, termination commits
+// the write.
+TEST_P(EarlyAck, AckedWriteSurvivesCoordinatorCrashBeforeAnyCommit) {
+  Cluster cluster(DurabilityOptions());
+  bool fired = false;
+  Result<WriteOutcome> ack = Status::Internal("unset");
+  cluster.Write(0, 0, Update::Total({42}), [&](Result<WriteOutcome> r) {
+    fired = true;
+    ack = r;
+    for (NodeId n = 1; n < cluster.num_nodes(); ++n) cluster.CutLink(0, n);
+    cluster.Crash(0);
+  });
+  while (!fired && cluster.simulator().Step()) {
+  }
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->version, 1u);
+
+  cluster.RunFor(200);
+  EXPECT_FALSE(cluster.Quiescent());
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    EXPECT_EQ(cluster.node(n).store().version(), 0u)
+        << "node " << n << " applied a commit that was never delivered";
+  }
+  for (NodeId reader = 1; reader < cluster.num_nodes(); ++reader) {
+    auto r = cluster.ReadSync(reader);
+    EXPECT_TRUE(r.status().IsConflict()) << r.status().ToString();
+  }
+
+  for (NodeId n = 1; n < cluster.num_nodes(); ++n) cluster.RestoreLink(0, n);
+  cluster.Recover(0);
+  cluster.RunFor(1000);
+  EXPECT_TRUE(cluster.Quiescent());
+  auto r = cluster.ReadSyncRetry(3, 0, 10);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->version, 1u);
+  EXPECT_EQ(r->data, std::vector<uint8_t>{42});
+  EXPECT_TRUE(cluster.CheckHistory().ok());
+}
+
+// Coordinator 0's outgoing links, its link to itself included, are slow
+// (50 units a hop), so its commit reaches the participants long after its
+// client has the ack. Reads from other coordinators, started after the
+// ack and retried until the commit has landed, see the new version or a
+// lock conflict, never the old version.
+TEST_P(EarlyAck, ReadsAfterTheAckNeverSeeTheOldVersion) {
+  Cluster cluster(DurabilityOptions());
+  net::LinkFaults slow;
+  slow.latency = net::LatencyModel{50.0, 0.0};
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    cluster.InjectLinkFault(0, n, slow);
+  }
+  bool fired = false;
+  cluster.Write(0, 0, Update::Total({7}), [&](Result<WriteOutcome> r) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    fired = true;
+  });
+  while (!fired && cluster.simulator().Step()) {
+  }
+  ASSERT_TRUE(fired);
+  EXPECT_FALSE(cluster.Quiescent()) << "the commit should still be in flight";
+
+  int conflicts = 0;
+  int fresh = 0;
+  for (int i = 0; fresh == 0 && i < 40; ++i) {
+    auto r = cluster.ReadSync(static_cast<NodeId>(1 + i % 4));
+    if (r.ok()) {
+      EXPECT_EQ(r->version, 1u) << "read the pre-write version after the ack";
+      EXPECT_EQ(r->data, std::vector<uint8_t>{7});
+      ++fresh;
+    } else {
+      EXPECT_TRUE(r.status().IsConflict()) << r.status().ToString();
+      ++conflicts;
+      cluster.RunFor(5);
+    }
+  }
+  EXPECT_GT(conflicts, 0) << "no read started inside the commit window";
+  EXPECT_EQ(fresh, 1);
+  EXPECT_TRUE(cluster.CheckHistory().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPersistenceModels, EarlyAck,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "DurabilityOn"
+                                             : "DurabilityOff";
+                         });
 
 }  // namespace
 }  // namespace dcp::protocol

@@ -84,6 +84,28 @@ TEST(WireCodecTest, LockResponseRoundTrips) {
   EXPECT_TRUE(q.state.stale);
   EXPECT_EQ(q.state.elist.ToVector(), (std::vector<NodeId>{0, 2, 4}));
   EXPECT_EQ(q.state.enumber, 6u);
+  EXPECT_FALSE(q.has_data);
+  EXPECT_TRUE(q.data.empty());
+}
+
+TEST(WireCodecTest, LockResponseCarriesReadData) {
+  auto p = std::make_shared<LockResponse>();
+  p->state.node = 1;
+  p->state.version = 12;
+  p->state.elist = NodeSet{0, 1, 2};
+  p->has_data = true;
+  p->data = {5, 0, 255, 7};
+  net::Message out = RoundTrip(Response(msg::kLock, p));
+  const auto& q = net::As<LockResponse>(out.payload);
+  EXPECT_EQ(q.state.version, 12u);
+  EXPECT_TRUE(q.has_data);
+  EXPECT_EQ(q.data, (std::vector<uint8_t>{5, 0, 255, 7}));
+
+  // A zero-length object is valid data: presence is the flag, not size.
+  p->data.clear();
+  out = RoundTrip(Response(msg::kLock, p));
+  EXPECT_TRUE(net::As<LockResponse>(out.payload).has_data);
+  EXPECT_TRUE(net::As<LockResponse>(out.payload).data.empty());
 }
 
 TEST(WireCodecTest, UnlockAndAckRoundTrip) {
@@ -141,6 +163,32 @@ TEST(WireCodecTest, PrepareRequestRoundTripsStagedAction) {
   EXPECT_EQ(q.action.objects[0].update.offset, 4u);
   EXPECT_EQ(q.action.objects[0].update.bytes, (std::vector<uint8_t>{1, 2, 3}));
   EXPECT_EQ(q.participants.ToVector(), (std::vector<NodeId>{0, 1, 2, 3}));
+  EXPECT_TRUE(q.polled.empty());
+}
+
+TEST(WireCodecTest, PrepareRequestRoundTripsPolledTuples) {
+  auto p = std::make_shared<PrepareRequest>();
+  p->owner = {8, 3};
+  p->participants = NodeSet{1, 8};
+  p->action.install_epoch = true;
+  p->action.epoch_number = 5;
+  p->action.epoch_list = NodeSet{1, 8};
+  p->polled = {{0, 17, 0, false}, {3, 9, 12, true}};
+  net::Message out = RoundTrip(Request(msg::kPrepare, p));
+  const auto& q = net::As<PrepareRequest>(out.payload);
+  EXPECT_EQ(q.polled, p->polled);
+  EXPECT_EQ(q.action.epoch_number, 5u);
+  EXPECT_EQ(q.participants.ToVector(), (std::vector<NodeId>{1, 8}));
+
+  // A scoped install's prepare polls exactly its object.
+  p->action.epoch_scoped = true;
+  p->action.epoch_object = 3;
+  p->polled = {{3, 9, 12, true}};
+  out = RoundTrip(Request(msg::kPrepare, p));
+  const auto& scoped = net::As<PrepareRequest>(out.payload);
+  EXPECT_TRUE(scoped.action.epoch_scoped);
+  EXPECT_EQ(scoped.action.epoch_object, 3u);
+  EXPECT_EQ(scoped.polled, p->polled);
 }
 
 TEST(WireCodecTest, TwoPhaseControlMessagesRoundTrip) {
@@ -270,6 +318,57 @@ TEST(WireCodecTest, RejectsMalformedInput) {
     EXPECT_FALSE(DecodeMessage(wire.data(), len, &out)) << "len=" << len;
   }
   EXPECT_FALSE(DecodeMessage(nullptr, 0, &out));
+}
+
+/// Overwrites the little-endian u32 at `offset` of `wire`.
+void PatchU32(std::vector<uint8_t>& wire, size_t offset, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    wire[offset + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(WireCodecTest, RejectsMalformedLockData) {
+  auto p = std::make_shared<LockResponse>();
+  p->state.elist = NodeSet{0, 1};
+  p->has_data = true;
+  p->data = {1, 2, 3, 4, 5, 6, 7, 8};
+  std::vector<uint8_t> wire = EncodeMessage(Response(msg::kLock, p));
+  ASSERT_FALSE(wire.empty());
+  net::Message out;
+  ASSERT_TRUE(DecodeMessage(wire.data(), wire.size(), &out));
+  // Truncated data: every prefix fails.
+  for (size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_FALSE(DecodeMessage(wire.data(), len, &out)) << "len=" << len;
+  }
+  // A data length past the end of the frame fails instead of reading on.
+  const size_t length_at = wire.size() - p->data.size() - 4;
+  for (uint32_t bad : {9u, 0x10000u, 0xffffffffu}) {
+    std::vector<uint8_t> oversized = wire;
+    PatchU32(oversized, length_at, bad);
+    EXPECT_FALSE(DecodeMessage(oversized.data(), oversized.size(), &out))
+        << "length " << bad;
+  }
+}
+
+TEST(WireCodecTest, RejectsMalformedPolledTuples) {
+  auto p = std::make_shared<PrepareRequest>();
+  p->participants = NodeSet{0, 1};
+  p->polled = {{0, 1, 0, false}, {1, 2, 3, true}};
+  std::vector<uint8_t> wire = EncodeMessage(Request(msg::kPrepare, p));
+  ASSERT_FALSE(wire.empty());
+  net::Message out;
+  ASSERT_TRUE(DecodeMessage(wire.data(), wire.size(), &out));
+  for (size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_FALSE(DecodeMessage(wire.data(), len, &out)) << "len=" << len;
+  }
+  // Each tuple is object u32, version u64, dversion u64, stale u8.
+  const size_t count_at = wire.size() - p->polled.size() * 21 - 4;
+  for (uint32_t bad : {3u, 1000u, 0xffffffffu}) {
+    std::vector<uint8_t> oversized = wire;
+    PatchU32(oversized, count_at, bad);
+    EXPECT_FALSE(DecodeMessage(oversized.data(), oversized.size(), &out))
+        << "count " << bad;
+  }
 }
 
 TEST(WireCodecTest, MakeWireCodecIsWiredUp) {
