@@ -42,7 +42,7 @@ Row RunOne(double drop, bool with_nemesis, uint64_t seed) {
   opts.seed = seed;
   opts.initial_value = std::vector<uint8_t>(32, 0);
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 300;
+  opts.epoch_check_interval = 300;
   opts.fault_model.global.drop = drop;
   opts.fault_model.global.duplicate = drop;      // Dup tracks drop level.
   opts.fault_model.global.reorder = 2.0 * drop;  // Reorder twice as common.

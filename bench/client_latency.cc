@@ -46,7 +46,7 @@ Row Run(CoterieKind kind, Stack stack, bool with_daemons, double mtbf,
   opts.seed = 99;
   opts.initial_value = std::vector<uint8_t>(32, 0);
   opts.start_epoch_daemons = with_daemons;
-  opts.daemon_options.check_interval = 400;
+  opts.epoch_check_interval = 400;
   Cluster cluster(opts);
 
   FaultInjector::Options fopts;

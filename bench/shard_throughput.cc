@@ -144,7 +144,7 @@ ClusterResult RunSharded(uint32_t objects, uint32_t ops) {
   opts.seed = 7;
   opts.initial_value = {0, 0, 0, 0};
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 500;
+  opts.epoch_check_interval = 500;
   protocol::Cluster cluster(opts);
 
   ClusterResult r;

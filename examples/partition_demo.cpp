@@ -2,7 +2,8 @@
 // when the network splits, at most one partition can keep the data item
 // alive, and after healing the minority is re-admitted and caught up.
 //
-// Also runs the background epoch daemons with bully election, so epoch
+// Also runs the background epoch daemons (whichever node has heard no
+// higher-ranked node's epoch poll for a while runs the checks), so epoch
 // changes happen autonomously rather than by explicit CheckEpoch calls.
 //
 // Act two goes beyond the paper's fail-stop model: a message-chaos window
@@ -158,11 +159,11 @@ int main(int argc, char** argv) {
   options.seed = 321;
   options.initial_value = {'v', '0'};
   options.start_epoch_daemons = true;  // Autonomous epoch management.
-  options.daemon_options.check_interval = 300;
+  options.epoch_check_interval = 300;
   Cluster cluster(options);
 
   std::printf("9 nodes, grid coterie, background epoch daemons "
-              "(check interval 300, bully election)\n\n");
+              "(check interval 300)\n\n");
 
   auto w0 = cluster.WriteSyncRetry(0, 0, Update::Partial(1, {'1'}), 10);
   std::printf("pre-partition write: %s\n",
@@ -215,8 +216,14 @@ int main(int argc, char** argv) {
 
   int committed = 0;
   for (int i = 0; i < 10; ++i) {
+    // A dropped prepare aborts the write's 2PC. An abort is a definite
+    // failure (nothing was applied), so the client may simply try again.
     auto w = cluster.WriteSyncRetry(
         0, 0, Update::Partial(2, {static_cast<uint8_t>('a' + i)}), 20);
+    for (int retry = 0; retry < 4 && w.status().IsAborted(); ++retry) {
+      w = cluster.WriteSyncRetry(
+          0, 0, Update::Partial(2, {static_cast<uint8_t>('a' + i)}), 20);
+    }
     if (w.ok()) ++committed;
   }
   const auto& nstats = cluster.network().stats();

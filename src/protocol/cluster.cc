@@ -1,5 +1,6 @@
 #include "protocol/cluster.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -85,6 +86,21 @@ std::vector<std::unique_ptr<ReplicaNode>> BuildNodes(
   return nodes;
 }
 
+EpochMux::Rankings MuxLineages(const ReplicaNode& node,
+                               const ObjectTable* table) {
+  EpochMux::Rankings ranked;
+  if (table == nullptr) {
+    std::vector<NodeId> descending = node.all_nodes().ToVector();
+    std::reverse(descending.begin(), descending.end());
+    ranked.push_back({std::nullopt, std::move(descending)});
+    return ranked;
+  }
+  for (storage::ObjectId o : node.HostedObjects()) {
+    ranked.push_back({o, table->placement(o).ranking});
+  }
+  return ranked;
+}
+
 Cluster::Cluster(ClusterOptions options)
     // Stream root: THE root — every other stream in a simulation forks
     // (directly or lazily) from this seed.  // dcp-lint: allow(raw-rng)
@@ -100,17 +116,9 @@ Cluster::Cluster(ClusterOptions options)
   nodes_ = BuildNodes(network_.get(), options_, rule_.get(), table_.get());
   if (!options_.start_epoch_daemons) return;
   for (const auto& node : nodes_) {
-    if (table_ == nullptr) {
-      daemons_.push_back(
-          std::make_unique<EpochDaemon>(node.get(), options_.daemon_options));
-      continue;
-    }
-    std::vector<std::pair<storage::ObjectId, std::vector<NodeId>>> ranked;
-    for (storage::ObjectId o : node->HostedObjects()) {
-      ranked.push_back({o, table_->placement(o).ranking});
-    }
     muxes_.push_back(std::make_unique<EpochMux>(
-        node.get(), std::move(ranked), options_.daemon_options.check_interval));
+        node.get(), MuxLineages(*node, table_.get()),
+        options_.epoch_check_interval));
   }
 }
 
@@ -252,14 +260,12 @@ Result<ReadOutcome> Cluster::ReadSyncRetry(NodeId coordinator,
 void Cluster::Crash(NodeId id) {
   network_->SetNodeUp(id, false);
   nodes_[id]->Crash();
-  if (!daemons_.empty()) daemons_[id]->OnCrash();
   if (!muxes_.empty()) muxes_[id]->OnCrash();
 }
 
 void Cluster::Recover(NodeId id) {
   network_->SetNodeUp(id, true);
   nodes_[id]->Recover();
-  if (!daemons_.empty()) daemons_[id]->OnRecover();
   if (!muxes_.empty()) muxes_[id]->OnRecover();
 }
 void Cluster::Partition(const std::vector<NodeSet>& groups) {

@@ -5,12 +5,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "coterie/coterie.h"
 #include "coterie/grid.h"
 #include "net/network.h"
-#include "protocol/epoch_daemon.h"
 #include "protocol/epoch_mux.h"
 #include "protocol/history.h"
 #include "protocol/operations.h"
@@ -85,11 +85,12 @@ struct ClusterOptions {
   /// Governs WriteSyncRetry / ReadSyncRetry.
   RetryPolicy retry_policy;
 
-  /// Start a background epoch daemon on every node: the electing
-  /// EpochDaemon in group mode, a multiplexed EpochMux (per-object
-  /// cadence `daemon_options.check_interval`) when sharded.
+  /// Start an EpochMux on every node: one lineage (the group's epoch,
+  /// node n-1 ranked first) in group mode, one per hosted object when
+  /// sharded.
   bool start_epoch_daemons = false;
-  EpochDaemonOptions daemon_options;
+  /// Per-lineage cadence of the muxes' epoch checks.
+  rt::Time epoch_check_interval = 300.0;
 
   /// Record structured trace events (RPC / 2PC / epoch spans) from the
   /// start. Off by default: tracing observes only and never perturbs the
@@ -112,10 +113,17 @@ std::vector<std::unique_ptr<ReplicaNode>> BuildNodes(
     rt::Transport* transport, const ClusterOptions& options,
     const coterie::CoterieRule* rule, const ObjectTable* table);
 
+/// The lineages an EpochMux on `node` drives, each with its duty ranking:
+/// the group's epoch with the nodes by descending id when `table` is null
+/// (node n-1 leads), else every hosted object with its placement ranking.
+/// Cluster builds its muxes from this; a SocketCluster's owner can too.
+EpochMux::Rankings MuxLineages(const ReplicaNode& node,
+                               const ObjectTable* table);
+
 /// An in-simulator deployment: N replica nodes hosting one epoch-sharing
 /// group of objects or (replication_factor > 0) a sharded set of objects
 /// with per-object epoch lineages, plus the network, optional epoch
-/// daemons, and per-object history recorders. This is the library's
+/// muxes, and per-object history recorders. This is the library's
 /// top-level entry point — examples, tests, and benches all drive the
 /// protocol through a Cluster.
 class Cluster {
@@ -141,7 +149,7 @@ class Cluster {
   const ClusterOptions& options() const { return options_; }
   /// The placement table; null in group mode.
   const ObjectTable* table() const { return table_.get(); }
-  /// A sharded node's epoch mux (sharded mode with daemons started).
+  /// A node's epoch mux (with daemons started).
   EpochMux& mux(NodeId id) { return *muxes_[id]; }
   /// The nodes hosting `object`: its placement home set when sharded,
   /// every node in group mode.
@@ -266,8 +274,7 @@ class Cluster {
   std::unique_ptr<coterie::CoterieRule> rule_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<ReplicaNode>> nodes_;
-  std::vector<std::unique_ptr<EpochDaemon>> daemons_;  ///< Group mode.
-  std::vector<std::unique_ptr<EpochMux>> muxes_;       ///< Sharded mode.
+  std::vector<std::unique_ptr<EpochMux>> muxes_;
   std::map<storage::ObjectId, HistoryRecorder> histories_;
 };
 

@@ -1,5 +1,7 @@
 #include "protocol/epoch_mux.h"
 
+#include <algorithm>
+#include <cassert>
 #include <string>
 
 #include "net/rpc.h"
@@ -7,24 +9,26 @@
 
 namespace dcp::protocol {
 
-EpochMux::EpochMux(
-    ReplicaNode* node,
-    std::vector<std::pair<storage::ObjectId, std::vector<NodeId>>> ranked,
-    rt::Time check_interval)
-    : node_(node) {
-  for (auto& [object, ranking] : ranked) {
-    ring_.push_back(object);
-    rankings_[object] = std::move(ranking);
+EpochMux::EpochMux(ReplicaNode* node, Rankings ranked,
+                   rt::Time check_interval)
+    : node_(node),
+      check_interval_(check_interval),
+      quiet_since_(node->runtime()->Now()) {
+  for (auto& [lineage, ranking] : ranked) {
+    auto self = std::find(ranking.begin(), ranking.end(), node_->self());
+    assert(self != ranking.end() && "node missing from a lineage ranking");
+    ring_.push_back(lineage);
+    higher_[lineage].assign(ranking.begin(), self);
   }
 
   // One timer per node: visit the whole ring once per check_interval by
-  // ticking `rounds` times per interval, kBatchPerTick objects per tick.
+  // ticking `rounds` times per interval, kBatchPerTick lineages per tick.
   size_t rounds =
       ring_.empty() ? 1 : (ring_.size() + kBatchPerTick - 1) / kBatchPerTick;
   tick_interval_ = check_interval / static_cast<rt::Time>(rounds);
 
   obs::MetricsRegistry& m = node_->runtime()->metrics();
-  const std::string p = "shard.mux." + std::to_string(node_->self()) + ".";
+  const std::string p = "mux." + std::to_string(node_->self()) + ".";
   ticks_ = m.counter(p + "ticks");
   checks_run_ = m.counter(p + "checks_run");
   checks_ok_ = m.counter(p + "checks_ok");
@@ -51,8 +55,8 @@ EpochMuxStats EpochMux::stats() const {
   return s;
 }
 
-void EpochMux::MarkDirty(storage::ObjectId object) {
-  if (rankings_.count(object) > 0) dirty_.insert(object);
+void EpochMux::MarkDirty(Lineage lineage) {
+  if (higher_.count(lineage) > 0) dirty_.insert(lineage);
 }
 
 void EpochMux::OnCrash() {
@@ -61,9 +65,11 @@ void EpochMux::OnCrash() {
 }
 
 void EpochMux::OnRecover() {
-  // A recovered node's hosted replicas may be arbitrarily stale; have the
-  // duty holders re-examine every lineage promptly.
-  for (storage::ObjectId object : ring_) dirty_.insert(object);
+  // A recovered node's replicas may be arbitrarily stale; have the duty
+  // holders re-examine every lineage promptly. Polls it missed while down
+  // say nothing about who runs checks now, so duty timing restarts.
+  quiet_since_ = node_->runtime()->Now();
+  for (Lineage lineage : ring_) dirty_.insert(lineage);
 }
 
 void EpochMux::Tick() {
@@ -71,56 +77,57 @@ void EpochMux::Tick() {
   ticks_->Increment();
   if (ring_.empty()) return;
 
-  // Dirty objects first: they asked for prompt attention.
-  std::set<storage::ObjectId> dirty;
+  // Dirty lineages first: they asked for prompt attention.
+  std::set<Lineage> dirty;
   dirty.swap(dirty_);
-  for (storage::ObjectId object : dirty) MaybeCheck(object, true);
+  for (Lineage lineage : dirty) MaybeCheck(lineage, true);
 
   for (uint32_t i = 0; i < kBatchPerTick && i < ring_.size(); ++i) {
-    storage::ObjectId object = ring_[cursor_];
+    Lineage lineage = ring_[cursor_];
     cursor_ = (cursor_ + 1) % ring_.size();
-    MaybeCheck(object, false);
+    MaybeCheck(lineage, false);
   }
 }
 
-bool EpochMux::HoldsDuty(storage::ObjectId object) const {
-  rt::Transport* transport = node_->rpc().transport();
-  auto it = rankings_.find(object);
-  if (it != rankings_.end()) {
-    for (NodeId n : it->second) {
-      if (transport->IsUp(n)) return n == node_->self();
-    }
-    return false;
+bool EpochMux::HoldsDuty(Lineage lineage) const {
+  const std::vector<NodeId>& higher = higher_.at(lineage);
+  if (higher.empty()) return true;
+  rt::Time heard = quiet_since_;
+  for (NodeId n : higher) {
+    heard = std::max(heard, node_->LastPollFrom(lineage, n).value_or(heard));
   }
-  // No ranking known (shouldn't happen for hosted objects): fall back to
-  // the first live member of the object's home set.
-  for (NodeId n : node_->universe(object)) {
-    if (transport->IsUp(n)) return n == node_->self();
-  }
-  return false;
+  const rt::Time quiet = static_cast<rt::Time>(higher.size() + 1) *
+                         check_interval_;
+  return node_->runtime()->Now() - heard >= quiet;
 }
 
-void EpochMux::MaybeCheck(storage::ObjectId object, bool from_dirty) {
-  if (in_flight_.count(object) > 0) return;
-  if (!HoldsDuty(object)) return;
-  in_flight_.insert(object);
+void EpochMux::MaybeCheck(Lineage lineage, bool from_dirty) {
+  if (in_flight_.count(lineage) > 0) return;
+  if (!HoldsDuty(lineage)) return;
+  in_flight_.insert(lineage);
   checks_run_->Increment();
   if (from_dirty) dirty_checks_->Increment();
   node_->runtime()
       ->metrics()
-      .labeled_counter("shard.mux.object_checks", std::to_string(object),
+      .labeled_counter("mux.lineage_checks",
+                       lineage ? std::to_string(*lineage) : "group",
                        kMetricCap)
       ->Increment();
-  StartObjectEpochCheck(node_, object, [this, object](Status s) {
-    in_flight_.erase(object);
+  auto done = [this, lineage](Status s) {
+    in_flight_.erase(lineage);
     if (s.ok()) {
       checks_ok_->Increment();
     } else {
       checks_failed_->Increment();
       // Try again promptly; the lineage may still be split.
-      dirty_.insert(object);
+      dirty_.insert(lineage);
     }
-  });
+  };
+  if (lineage) {
+    StartObjectEpochCheck(node_, *lineage, std::move(done));
+  } else {
+    StartEpochCheck(node_, std::move(done));
+  }
 }
 
 }  // namespace dcp::protocol

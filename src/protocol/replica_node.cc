@@ -113,6 +113,13 @@ storage::EpochRecord ReplicaNode::epoch_hint(ObjectId object) const {
   return storage::EpochRecord{0, universe(object)};
 }
 
+std::optional<rt::Time> ReplicaNode::LastPollFrom(
+    std::optional<ObjectId> lineage, NodeId sender) const {
+  auto it = last_poll_from_.find({lineage, sender});
+  if (it == last_poll_from_.end()) return std::nullopt;
+  return it->second;
+}
+
 ReplicaNodeStats ReplicaNode::stats() const {
   ReplicaNodeStats s;
   s.locks_granted = counters_.locks_granted->value();
@@ -455,7 +462,7 @@ Result<PayloadPtr> ReplicaNode::HandleRequest(NodeId from,
     return HandleOutcome(net::As<OutcomeRequest>(request));
   }
   if (type == msg::kEpochPoll) {
-    return HandleEpochPoll(net::As<EpochPollRequest>(request));
+    return HandleEpochPoll(from, net::As<EpochPollRequest>(request));
   }
   if (type == msg::kPropOffer) {
     return HandlePropOffer(from, net::As<PropagationOffer>(request));
@@ -463,7 +470,6 @@ Result<PayloadPtr> ReplicaNode::HandleRequest(NodeId from,
   if (type == msg::kPropData) {
     return HandlePropData(from, net::As<PropagationData>(request));
   }
-  if (extension_handler_) return extension_handler_(from, type, request);
   return Status::InvalidArgument("unknown request type: " + type);
 }
 
@@ -605,7 +611,8 @@ Result<PayloadPtr> ReplicaNode::HandleOutcome(const OutcomeRequest& req) {
   return PayloadPtr(std::move(resp));
 }
 
-Result<PayloadPtr> ReplicaNode::HandleEpochPoll(const EpochPollRequest& req) {
+Result<PayloadPtr> ReplicaNode::HandleEpochPoll(NodeId from,
+                                                const EpochPollRequest& req) {
   auto resp = std::make_shared<EpochPollResponse>();
   resp->node = self_;
   if (req.scoped) {
@@ -613,6 +620,7 @@ Result<PayloadPtr> ReplicaNode::HandleEpochPoll(const EpochPollRequest& req) {
     // state (the response shape is unchanged — one tuple).
     auto it = objects_.find(req.object);
     if (it == objects_.end()) return Status::NotFound("no such object");
+    last_poll_from_[{req.object, from}] = runtime()->Now();
     const storage::ReplicaStore& store = it->second;
     resp->enumber = store.epoch_number();
     resp->elist = store.epoch_list();
@@ -628,6 +636,7 @@ Result<PayloadPtr> ReplicaNode::HandleEpochPoll(const EpochPollRequest& req) {
     // No shared group epoch exists; an unscoped poll is a caller bug.
     return Status::InvalidArgument("sharded node requires scoped epoch poll");
   }
+  last_poll_from_[{std::nullopt, from}] = runtime()->Now();
   resp->enumber = epoch_->number;
   resp->elist = epoch_->list;
   for (const auto& [id, store] : objects_) {
@@ -878,6 +887,7 @@ void ReplicaNode::AddPropagationTargets(ObjectId object,
                                         const NodeSet& targets) {
   NodeSet added = targets;
   added.Erase(self());
+  for (NodeId target : added) ++duty_renewals_[{object, target}];
   NodeSet& pending = pending_propagation_[object];
   pending = pending.Union(added);
   if (durable_ && !added.Empty()) durable_->LogPropAdd(object, added);
@@ -886,7 +896,12 @@ void ReplicaNode::AddPropagationTargets(ObjectId object,
   }
 }
 
-void ReplicaNode::FinishPropagation(ObjectId object, NodeId target) {
+void ReplicaNode::FinishPropagation(ObjectId object, NodeId target,
+                                    uint64_t renewals) {
+  // A commit that re-added this duty while the offer was in flight may
+  // want a newer version than the one the target just reported current
+  // or received: keep the duty, and the next round offers again.
+  if (duty_renewals_[{object, target}] != renewals) return;
   pending_propagation_[object].Erase(target);
   // Not ack-gated (we are the caller here); rides the lazy flush. Lost
   // to a crash, the duty survives and the next offer gets "i-am-current".
@@ -958,13 +973,14 @@ void ReplicaNode::OfferPropagation(ObjectId object, NodeId target) {
                                 {{"object", std::to_string(object)},
                                  {"target", std::to_string(target)}});
 
+  const uint64_t renewals = duty_renewals_[{object, target}];
   rpc_.Call(target, msg::kPropOffer, offer,
-            [this, object, target, transfer_id](net::RpcResult r) {
+            [this, object, target, transfer_id, renewals](net::RpcResult r) {
     if (!r.ok()) return;  // CallFailed/busy: target stays pending.
     const auto& reply = net::As<PropagationOfferReply>(r.response);
     switch (reply.verdict) {
       case PropagationVerdict::kIAmCurrent:
-        FinishPropagation(object, target);
+        FinishPropagation(object, target, renewals);
         return;
       case PropagationVerdict::kAlreadyRecovering:
         return;  // "pause(some-time)" — the next round re-offers.
@@ -988,9 +1004,9 @@ void ReplicaNode::OfferPropagation(ObjectId object, NodeId target) {
       data->updates = {store.object().Snapshot()};
     }
     rpc_.Call(target, msg::kPropData, data,
-              [this, object, target](net::RpcResult rr) {
+              [this, object, target, renewals](net::RpcResult rr) {
                 if (!rr.ok()) return;  // Stays pending; next round retries.
-                FinishPropagation(object, target);
+                FinishPropagation(object, target, renewals);
                 counters_.propagations_completed->Increment();
               });
   });

@@ -263,13 +263,12 @@ class ReplicaNode : public net::RpcService {
   /// Enqueues propagation duty (also used by epoch-change commits).
   void AddPropagationTargets(ObjectId object, const NodeSet& targets);
 
-  /// Handler for request types the node itself does not understand
-  /// (election traffic, installed by EpochDaemon).
-  using ExtensionHandler = std::function<Result<net::PayloadPtr>(
-      NodeId, const std::string&, const net::PayloadPtr&)>;
-  void set_extension_handler(ExtensionHandler handler) {
-    extension_handler_ = std::move(handler);
-  }
+  /// When this node last answered an epoch poll from `sender` for
+  /// `lineage` (an object's in sharded mode, or std::nullopt for the
+  /// group's shared epoch); std::nullopt if it never has. A received poll
+  /// is the epoch driver's only liveness signal (EpochMux duty).
+  std::optional<rt::Time> LastPollFrom(std::optional<ObjectId> lineage,
+                                       NodeId sender) const;
 
   /// True iff any 2PC participant action is prepared-but-undecided here.
   bool has_staged_transaction() const { return !staged_.empty(); }
@@ -316,8 +315,8 @@ class ReplicaNode : public net::RpcService {
   [[nodiscard]] Result<net::PayloadPtr> HandleAbort(const AbortRequest& req);
   [[nodiscard]]
   Result<net::PayloadPtr> HandleOutcome(const OutcomeRequest& req);
-  [[nodiscard]]
-  Result<net::PayloadPtr> HandleEpochPoll(const EpochPollRequest& req);
+  [[nodiscard]] Result<net::PayloadPtr> HandleEpochPoll(
+      NodeId from, const EpochPollRequest& req);
   [[nodiscard]] Result<net::PayloadPtr> HandlePropOffer(NodeId from,
                                           const PropagationOffer& req);
   [[nodiscard]] Result<net::PayloadPtr> HandlePropData(NodeId from,
@@ -353,8 +352,9 @@ class ReplicaNode : public net::RpcService {
   void RunPropagationRound();
   void OfferPropagation(ObjectId object, NodeId target);
 
-  /// Marks one propagation duty fulfilled (durably, when enabled).
-  void FinishPropagation(ObjectId object, NodeId target);
+  /// Marks one propagation duty fulfilled (durably, when enabled), unless
+  /// it was added again since the offer read `renewals`.
+  void FinishPropagation(ObjectId object, NodeId target, uint64_t renewals);
 
   // Durability plumbing (all no-ops / unused with durability off).
   store::RecoveredState InitialState() const;   ///< Birth state.
@@ -387,7 +387,6 @@ class ReplicaNode : public net::RpcService {
   const coterie::CoterieRule* rule_;
   ReplicaNodeOptions options_;
   NodeCounters counters_;
-  ExtensionHandler extension_handler_;
 
   /// Sharded mode only: every object's home set (the placement
   /// directory).
@@ -412,6 +411,11 @@ class ReplicaNode : public net::RpcService {
   std::map<ObjectId, NodeSet> pending_propagation_;
 
   // Volatile.
+  /// (lineage, sender) -> when a poll from sender was last answered.
+  std::map<std::pair<std::optional<ObjectId>, NodeId>, rt::Time>
+      last_poll_from_;
+  /// (object, target) -> how often that propagation duty was added.
+  std::map<std::pair<ObjectId, NodeId>, uint64_t> duty_renewals_;
   std::map<TxKey, rt::Time> lock_acquired_at_;
   std::map<TxKey, rt::Time> op_started_at_;  ///< Wound-wait priorities.
   bool propagation_scheduled_ = false;

@@ -134,9 +134,6 @@ enum class Body : uint8_t {
   kPropagationOfferReply,
   kPropagationData,
   kPropagationDataReply,
-  kElectionRequest,
-  kElectionResponse,
-  kLeaderAnnouncement,
 };
 
 /// Encodes one concrete payload. Returns false for an unknown dynamic
@@ -254,20 +251,6 @@ bool PutPayload(ByteWriter& w, const net::PayloadPtr& p) {
   if (auto* v = dynamic_cast<const PropagationDataReply*>(raw)) {
     w.U8(static_cast<uint8_t>(Body::kPropagationDataReply));
     w.U64(v->new_version);
-    return true;
-  }
-  if (dynamic_cast<const ElectionRequest*>(raw) != nullptr) {
-    w.U8(static_cast<uint8_t>(Body::kElectionRequest));
-    return true;
-  }
-  if (auto* v = dynamic_cast<const ElectionResponse*>(raw)) {
-    w.U8(static_cast<uint8_t>(Body::kElectionResponse));
-    w.Bool(v->alive);
-    return true;
-  }
-  if (auto* v = dynamic_cast<const LeaderAnnouncement*>(raw)) {
-    w.U8(static_cast<uint8_t>(Body::kLeaderAnnouncement));
-    w.U32(v->leader);
     return true;
   }
   return false;
@@ -410,18 +393,6 @@ net::PayloadPtr GetPayload(ByteReader& r, bool* ok) {
     case Body::kPropagationDataReply: {
       auto v = std::make_shared<PropagationDataReply>();
       v->new_version = r.U64();
-      return v;
-    }
-    case Body::kElectionRequest:
-      return std::make_shared<ElectionRequest>();
-    case Body::kElectionResponse: {
-      auto v = std::make_shared<ElectionResponse>();
-      v->alive = r.Bool();
-      return v;
-    }
-    case Body::kLeaderAnnouncement: {
-      auto v = std::make_shared<LeaderAnnouncement>();
-      v->leader = r.U32();
       return v;
     }
   }

@@ -27,7 +27,7 @@ struct TimerId {
 /// The execution-context half of the transport/runtime seam: a monotonic
 /// clock, one-shot timers, and an observability context. This is exactly
 /// the surface the protocol layer (replica_node, two_phase, operations,
-/// epoch_daemon) and the storage engine use — they never see a concrete
+/// epoch_mux) and the storage engine use — they never see a concrete
 /// backend.
 ///
 /// Backends:

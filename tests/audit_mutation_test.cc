@@ -193,7 +193,7 @@ TEST(AuditMutations, ServeStaleReadsIsCaught) {
     opts.seed = seed;
     opts.initial_value = std::vector<uint8_t>(32, 0);
     opts.start_epoch_daemons = true;
-    opts.daemon_options.check_interval = 300;
+    opts.epoch_check_interval = 300;
     opts.fault_model.global.drop = 0.05;
     opts.fault_model.global.duplicate = 0.05;
     opts.fault_model.global.reorder = 0.10;
@@ -243,7 +243,8 @@ TEST(AuditMutations, SkipEpochStateCheckIsCaught) {
     SCOPED_TRACE("replication_factor " + std::to_string(replication_factor));
     uint64_t caught = 0;
     uint64_t skipped = 0;
-    for (uint64_t seed = 4; seed <= 6 && caught == 0; ++seed) {
+    for (uint64_t seed = epoch_churn::kFirstSeed;
+         seed <= epoch_churn::kLastSeed && caught == 0; ++seed) {
       protocol::ClusterOptions opts =
           epoch_churn::Options(seed, replication_factor);
       opts.node_options.mutation_hooks.skip_epoch_state_check = true;

@@ -18,6 +18,11 @@
 
 namespace dcp::harness::epoch_churn {
 
+/// The audited sweep's seeds, shared by epoch_churn_audit_test and the
+/// mutation test that must see the sweep catch a seeded fault.
+inline constexpr int kFirstSeed = 4;
+inline constexpr int kLastSeed = 12;
+
 /// 16 objects on a 3x3 grid, durability on, epoch daemons checking every
 /// 400 ms: group mode at `replication_factor` 0, else sharded (each
 /// object its own lineage, checked by the EpochMux).
@@ -32,7 +37,7 @@ inline protocol::ClusterOptions Options(uint64_t seed,
   opts.initial_value = std::vector<uint8_t>(32, 0);
   opts.durability.enabled = true;
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 400;
+  opts.epoch_check_interval = 400;
   return opts;
 }
 

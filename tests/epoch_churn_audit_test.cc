@@ -5,8 +5,9 @@
 // durable version, so an epoch install that misses a write committed
 // after its poll would leave the new version outside a read quorum; the
 // client history must stay linearizable. With the prepare's polled-state
-// check skipped, group seeds 4 and 5 and rf 9 seed 6 read stale data
-// (audit_mutation_test holds the sweep to that).
+// check skipped, group seeds 5, 7, 8, 9 and 12 and rf 9 seed 12 read
+// stale data (audit_mutation_test holds the sweep to catching it in both
+// modes).
 
 #include <gtest/gtest.h>
 
@@ -44,8 +45,10 @@ std::string ChurnName(
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AuditedEpochChurn,
-                         ::testing::Combine(::testing::Values(0u, 9u),
-                                            ::testing::Range(4, 7)),
+                         ::testing::Combine(
+                             ::testing::Values(0u, 9u),
+                             ::testing::Range(epoch_churn::kFirstSeed,
+                                              epoch_churn::kLastSeed + 1)),
                          ChurnName);
 
 }  // namespace

@@ -18,7 +18,7 @@ ClusterOptions Options() {
   opts.seed = 5;
   opts.initial_value = std::vector<uint8_t>(32, 0);
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 300;
+  opts.epoch_check_interval = 300;
   return opts;
 }
 

@@ -209,7 +209,7 @@ std::string MetricsSnapshotForSeed(uint64_t seed) {
   opts.seed = seed;
   opts.initial_value = std::vector<uint8_t>(32, 0);
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 300;
+  opts.epoch_check_interval = 300;
   protocol::Cluster cluster(opts);
 
   harness::WorkloadDriver::Options wopts;

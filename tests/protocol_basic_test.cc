@@ -90,6 +90,27 @@ TEST(ProtocolBasic, StaleReplicasCatchUpViaPropagation) {
   EXPECT_TRUE(cluster.CheckHistory().ok());
 }
 
+TEST(ProtocolBasic, DutyRenewedWhileAnOfferIsInFlightIsKept) {
+  // Node 1 offers v0 to node 3, which is current and answers
+  // "i-am-current". While that answer is in flight, a commit moves node 1
+  // to v1, marks node 3 stale for v1 and hands node 1 the duty again. The
+  // old answer must not clear the renewed duty, or node 3 stays stale.
+  ClusterOptions opts = BasicOptions();
+  opts.latency = net::LatencyModel{1.0, 0.0};  // Offer t=5, answer t=7.
+  Cluster cluster(opts);
+  cluster.node(1).AddPropagationTargets(0, NodeSet({3}));
+  cluster.simulator().Schedule(6.5, [&cluster] {
+    cluster.node(1).store().object().Apply(Update::Partial(0, {'x'}));
+    cluster.node(3).store().MarkStale(1);
+    cluster.node(1).AddPropagationTargets(0, NodeSet({3}));
+  });
+  cluster.RunFor(2000);
+  EXPECT_FALSE(cluster.node(3).store().stale())
+      << cluster.node(3).store().DebugString();
+  EXPECT_EQ(cluster.node(3).store().version(), 1u);
+  EXPECT_TRUE(cluster.node(1).pending_propagation(0).Empty());
+}
+
 TEST(ProtocolBasic, ReadsSeeLatestCommittedWrite) {
   Cluster cluster(BasicOptions());
   for (int i = 0; i < 5; ++i) {

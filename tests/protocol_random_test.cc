@@ -51,8 +51,7 @@ TEST_P(RandomizedProtocol, InvariantsHoldUnderChurn) {
   opts.seed = sc.seed;
   opts.initial_value = std::vector<uint8_t>(32, 0);
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 150;
-  opts.daemon_options.leader_timeout = 450;
+  opts.epoch_check_interval = 150;
   Cluster cluster(opts);
 
   Rng rng(sc.seed * 7919);

@@ -222,7 +222,7 @@ TEST(ShardCluster, MuxRunsChecksWithOneTimerPerNode) {
   ClusterOptions opts = Options();
   opts.num_objects = 64;
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 300.0;
+  opts.epoch_check_interval = 300.0;
   Cluster cluster(opts);
   cluster.RunFor(4000);
 
@@ -236,7 +236,7 @@ TEST(ShardCluster, MuxRunsChecksWithOneTimerPerNode) {
     // check_interval / rounds, never more timers per node.
     EXPECT_GT(cluster.mux(n).tick_interval(), 0.0);
     EXPECT_LE(cluster.mux(n).tick_interval(),
-              opts.daemon_options.check_interval);
+              opts.epoch_check_interval);
   }
   EXPECT_GT(total_ticks, 0u);
   // All epochs healthy: checks run (duty-holder only) and succeed as
@@ -254,13 +254,13 @@ TEST(ShardCluster, MuxRepairsEpochsAfterCrash) {
   ClusterOptions opts = Options();
   opts.num_objects = 32;
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 200.0;
+  opts.epoch_check_interval = 200.0;
   Cluster cluster(opts);
   cluster.RunFor(500);
 
   NodeId dead = 2;
   cluster.Crash(dead);
-  cluster.RunFor(8 * opts.daemon_options.check_interval);
+  cluster.RunFor(8 * opts.epoch_check_interval);
 
   // Every object homed on the dead node had its lineage shrunk by the
   // duty-holding mux; objects elsewhere stayed at epoch 0.
@@ -287,7 +287,7 @@ TEST(ShardCluster, MuxRepairsEpochsAfterCrash) {
 
   // After recovery the muxes re-admit the node: lineages grow again.
   cluster.Recover(dead);
-  cluster.RunFor(8 * opts.daemon_options.check_interval);
+  cluster.RunFor(8 * opts.epoch_check_interval);
   for (ObjectId o = 0; o < cluster.num_objects(); ++o) {
     const NodeSet& home = cluster.HomeNodes(o);
     if (!home.Contains(dead)) continue;
@@ -304,7 +304,7 @@ TEST(ShardCluster, MuxMarkDirtyTriggersPromptCheck) {
   ClusterOptions opts = Options();
   opts.num_objects = 32;
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 10000.0;  // Ring pass would take ages.
+  opts.epoch_check_interval = 10000.0;  // Ring pass would take ages.
   Cluster cluster(opts);
   ObjectId o = 3;
   // The duty holder is the first live member of the placement ranking.

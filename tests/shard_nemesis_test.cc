@@ -1,8 +1,10 @@
 // Sharded adversarial sweeps: a seeded matrix of partition runs over a
 // 7-node / 64-object cluster (grid and majority coterie classes) in which
 // one node is isolated mid-run. The multiplexed epoch daemons must shrink
-// the lineages of objects homed on the isolated node while every other
-// object's lineage stays untouched — per-object epochs diverge
+// every lineage of an object homed on the isolated node whose other home
+// members hold a write quorum — including those the isolated node ranks
+// first, which only the silence of its polls hands over — while every
+// other object's lineage stays untouched — per-object epochs diverge
 // INDEPENDENTLY, the point of sharding — and after healing the cluster
 // must converge back to full home lists with all invariants intact and
 // the client-observable history of every object linearizable.
@@ -39,7 +41,7 @@ ClusterOptions SweepOptions(CoterieKind kind, uint64_t seed) {
   opts.seed = seed;
   opts.initial_value = std::vector<uint8_t>(8, 0);
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 400;
+  opts.epoch_check_interval = 400;
   return opts;
 }
 
@@ -158,38 +160,54 @@ TEST_P(ShardedNemesisSweep, LineagesDivergeIndependentlyAndAuditPasses) {
   cluster.RunFor(kWarmup);
 
   // Isolate one (seed-chosen) node; the rest of the pool stays connected.
+  // A victim-homed lineage whose other home members hold a write quorum
+  // of its epoch list can (and so must) shrink to exclude the victim —
+  // also where the victim is the lineage's top-ranked member, whose
+  // polls the other members stop hearing.
   NodeId victim = static_cast<NodeId>(uint64_t(seed) % kNodes);
+  std::vector<ObjectId> must_shrink;
+  for (ObjectId o = 0; o < kObjects; ++o) {
+    NodeSet others = cluster.HomeNodes(o);
+    if (!others.Contains(victim)) continue;
+    others.Erase(victim);
+    const NodeSet& list = cluster.node(others.NthMember(0)).store(o)
+                              .epoch_list();
+    if (!cluster.rule().IsWriteQuorum(list, others)) continue;
+    must_shrink.push_back(o);
+  }
   NodeSet majority = NodeSet::Universe(kNodes);
   majority.Erase(victim);
   cluster.Partition({NodeSet({victim}), majority});
   cluster.RunFor(kPartitionSpan);
 
-  // Mid-partition divergence: some object homed on the victim has had its
-  // lineage shrunk by a duty-holding mux, while every object NOT homed on
-  // the victim is still on its birth epoch — lineages move independently.
-  uint32_t shrunk = 0;
+  // Mid-partition divergence: every such lineage has a non-victim member
+  // on an epoch without the victim, while every object NOT homed on the
+  // victim is still on its birth epoch — lineages move independently.
+  for (ObjectId o : must_shrink) {
+    bool shrunk = false;
+    for (NodeId n : cluster.HomeNodes(o)) {
+      if (n != victim && !cluster.node(n).store(o).epoch_list().Contains(
+                             victim)) {
+        shrunk = true;
+      }
+    }
+    EXPECT_TRUE(shrunk) << "object " << o << " (ranking[0] "
+                        << cluster.table()->placement(o).ranking[0]
+                        << ") kept isolated node " << victim
+                        << " in its epoch (seed " << seed << ")";
+  }
+  EXPECT_GT(must_shrink.size(), 0u);
   uint32_t untouched = 0;
   for (ObjectId o = 0; o < kObjects; ++o) {
     const NodeSet& home = cluster.HomeNodes(o);
-    if (home.Contains(victim)) {
-      for (NodeId n : home) {
-        if (n == victim) continue;
-        if (cluster.node(n).store(o).epoch_number() >= 1) {
-          ++shrunk;
-          break;
-        }
-      }
-    } else {
-      ++untouched;
-      for (NodeId n : home) {
-        EXPECT_EQ(cluster.node(n).store(o).epoch_number(), 0u)
-            << "object " << o << " (not homed on the isolated node " << victim
-            << ") had its lineage disturbed";
-      }
+    if (home.Contains(victim)) continue;
+    ++untouched;
+    for (NodeId n : home) {
+      EXPECT_EQ(cluster.node(n).store(o).epoch_number(), 0u)
+          << "object " << o << " (not homed on the isolated node " << victim
+          << ") had its lineage disturbed";
     }
   }
-  EXPECT_GT(shrunk, 0u) << "no lineage shrank around isolated node "
-                        << victim;
   EXPECT_GT(untouched, 0u);
 
   cluster.Heal();

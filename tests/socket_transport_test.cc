@@ -1,10 +1,11 @@
 // Threaded smoke test for the socket transport backend: five
 // ReplicaNodes over a real loopback TCP mesh driving the actual
 // protocol stack — total writes, partial writes, reads, and an epoch
-// change around a failed node. Each protocol scenario ends by stopping
-// the cluster and running the shared invariant checkers (Lemma 1 and
-// replica consistency) over the nodes' final state. This is the suite
-// the TSan CI lane runs under -fsanitize=thread.
+// change around a failed node, by explicit checks and by epoch muxes.
+// Each protocol scenario ends by stopping the cluster and running the
+// shared invariant checkers (Lemma 1 and replica consistency) over the
+// nodes' final state. This is the suite the TSan CI lane runs under
+// -fsanitize=thread.
 #include <gtest/gtest.h>
 
 #include <sched.h>
@@ -20,6 +21,8 @@
 #include <vector>
 
 #include "harness/socket_cluster.h"
+#include "protocol/cluster.h"
+#include "protocol/epoch_mux.h"
 #include "protocol/wire_codec.h"
 #include "storage/versioned_object.h"
 
@@ -123,6 +126,62 @@ TEST(SocketTransportTest, EpochChangeExcludesAndReadmitsAFailedNode) {
   ASSERT_TRUE(r4.ok()) << r4.status().ToString();
   EXPECT_EQ(r4->data, (std::vector<uint8_t>{7, 8}));
   StopAndCheckInvariants(cluster);
+}
+
+/// `node`'s group epoch list, read on the node's own loop: with epoch
+/// muxes running, node state may only be read there.
+NodeSet EpochListOnLoop(protocol::ReplicaNode& node) {
+  auto answer = std::make_shared<std::promise<NodeSet>>();
+  std::future<NodeSet> future = answer->get_future();
+  node.runtime()->Schedule(0, [&node, answer] {
+    answer->set_value(node.epoch().list);
+  });
+  return future.get();
+}
+
+/// Polls until every node in `nodes` holds `list` as its group epoch
+/// list; false after 20 s of real time.
+bool AwaitEpochList(SocketCluster& cluster, const NodeSet& nodes,
+                    const NodeSet& list) {
+  using Clock = std::chrono::steady_clock;  // dcp-lint: allow(wall-clock) — real-time wait budget
+  const auto deadline = Clock::now() + std::chrono::seconds(20);
+  while (Clock::now() < deadline) {
+    bool all = true;
+    for (NodeId n : nodes) {
+      all = all && EpochListOnLoop(cluster.node(n)) == list;
+    }
+    if (all) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return false;
+}
+
+TEST(SocketTransportTest, EpochMuxesExcludeAndReadmitTheTopRankedNode) {
+  // One group-mode EpochMux per node, with duty taken from received epoch
+  // polls alone: nothing tells a mux that node 4, which ranks first, is
+  // down, except that its polls stop arriving.
+  SocketCluster cluster(SmokeOptions());
+  std::vector<std::unique_ptr<protocol::EpochMux>> muxes;
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    muxes.push_back(std::make_unique<protocol::EpochMux>(
+        &cluster.node(n), protocol::MuxLineages(cluster.node(n), nullptr),
+        /*check_interval=*/100.0));
+  }
+  ASSERT_TRUE(cluster.Start().ok());
+
+  const NodeSet live{0, 1, 2, 3};
+  cluster.SetNodeUp(4, false);
+  EXPECT_TRUE(AwaitEpochList(cluster, live, live))
+      << "the live nodes never excluded node 4";
+  auto w = cluster.WriteSyncRetry(1, 0, Update::Total({6, 6}), 10);
+  EXPECT_TRUE(w.ok()) << w.status().ToString();
+
+  cluster.SetNodeUp(4, true);
+  EXPECT_TRUE(AwaitEpochList(cluster, cluster.all_nodes(), cluster.all_nodes()))
+      << "node 4 was never re-admitted";
+  EXPECT_TRUE(cluster.AwaitIdle(SmokeOptions().op_timeout_ms));
+  StopAndCheckInvariants(cluster);
+  muxes.clear();
 }
 
 TEST(SocketTransportTest, ConcurrentCoordinatorsMakeProgress) {

@@ -269,17 +269,30 @@ TEST(WireCodecTest, PropagationRoundTrips) {
             12u);
 }
 
-TEST(WireCodecTest, ElectionRoundTrips) {
-  RoundTrip(Request(msg::kElection, std::make_shared<ElectionRequest>()));
-  auto resp = std::make_shared<ElectionResponse>();
-  resp->alive = true;
-  EXPECT_TRUE(net::As<ElectionResponse>(
-                  RoundTrip(Response(msg::kElection, resp)).payload).alive);
-  auto lead = std::make_shared<LeaderAnnouncement>();
-  lead->leader = 4;
-  EXPECT_EQ(net::As<LeaderAnnouncement>(
-                RoundTrip(Request(msg::kLeader, lead)).payload).leader,
-            4u);
+TEST(WireCodecTest, RemovedElectionTagsDecodeAsMalformed) {
+  // Body tags 18-20 carried the bully election's request, response and
+  // leader announcement. They were the codec's last three tags, so no
+  // kept tag moved when they went; a frame carrying one is malformed now,
+  // whatever body follows it.
+  std::vector<uint8_t> frame = EncodeMessage(Request("election", nullptr));
+  ASSERT_FALSE(frame.empty());
+  ASSERT_EQ(frame.back(), 0u);  // Body::kNone ends a payload-less frame.
+  const std::vector<std::vector<uint8_t>> bodies = {
+      {18}, {19, 1}, {20, 4, 0, 0, 0}};
+  for (const std::vector<uint8_t>& body : bodies) {
+    std::vector<uint8_t> wire(frame.begin(), frame.end() - 1);
+    wire.insert(wire.end(), body.begin(), body.end());
+    net::Message out;
+    EXPECT_FALSE(DecodeMessage(wire.data(), wire.size(), &out))
+        << "body tag " << int(body[0]);
+  }
+
+  // The last kept tag is unchanged: a PropagationDataReply is tag 17,
+  // followed by its 8-byte version.
+  std::vector<uint8_t> kept = EncodeMessage(
+      Response(msg::kPropData, std::make_shared<PropagationDataReply>()));
+  ASSERT_GE(kept.size(), 9u);
+  EXPECT_EQ(kept[kept.size() - 9], 17u);
 }
 
 TEST(WireCodecTest, ErrorStatusSurvivesTheWire) {
